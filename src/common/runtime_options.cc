@@ -297,7 +297,7 @@ RuntimeOptions::describeKnobs()
            "  AXMEMO_SERVE_LUT    --lut-bytes <n>    65536             "
            "physical serve LUT size in bytes\n"
            "  AXMEMO_SERVE_QUEUE  --queue <n>        1024              "
-           "bounded request-queue depth; full queue sheds\n"
+           "bounded Run-queue depth; full queue sheds Runs\n"
            "  AXMEMO_TRACE_SEED   --seed <n>         42                "
            "request-trace generator seed (replay / serve_traffic)\n"
            "  AXMEMO_TRACE_REQUESTS --requests <n>   4000              "

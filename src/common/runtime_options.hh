@@ -116,8 +116,8 @@ struct RuntimeOptions
     std::uint64_t serveQuota = 0;
     /** Physical serve LUT size in bytes. */
     std::uint64_t serveLutBytes = 64 * 1024;
-    /** Bounded request-queue depth; a full queue sheds (never blocks
-     * the accept loop). */
+    /** Bounded depth of the serve Run queue; a full queue sheds Runs
+     * (never blocks the reader). Memo requests never queue. */
     unsigned serveQueue = 1024;
     /** Request-trace seed (replay / serve_traffic artifact). */
     std::uint64_t traceSeed = 42;

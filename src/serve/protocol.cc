@@ -159,18 +159,41 @@ encodeRequest(const Request &request)
     return out;
 }
 
+namespace {
+
+void
+putReply(std::string *out, const Reply &reply)
+{
+    out->push_back(static_cast<char>(reply.status));
+    putU32(out, reply.seq);
+    putU64(out, reply.data);
+    putU32(out, reply.simCycles);
+    putU32(out, static_cast<std::uint32_t>(reply.text.size()));
+    *out += reply.text;
+}
+
+} // namespace
+
 std::string
 encodeReply(const Reply &reply)
 {
     std::string out;
     out.reserve(32 + reply.text.size());
-    out.push_back(static_cast<char>(reply.status));
-    putU32(&out, reply.seq);
-    putU64(&out, reply.data);
-    putU32(&out, reply.simCycles);
-    putU32(&out, static_cast<std::uint32_t>(reply.text.size()));
-    out += reply.text;
+    putReply(&out, reply);
     return out;
+}
+
+void
+appendReplyFrame(std::string *out, const Reply &reply)
+{
+    // Reserve the length prefix, encode in place, then patch it.
+    const std::size_t head = out->size();
+    putU32(out, 0);
+    putReply(out, reply);
+    const std::uint32_t length =
+        static_cast<std::uint32_t>(out->size() - head - 4);
+    for (int i = 0; i < 4; ++i)
+        (*out)[head + i] = static_cast<char>((length >> (8 * i)) & 0xff);
 }
 
 Expected<Request>
@@ -249,18 +272,12 @@ readAll(int fd, char *buffer, std::size_t n)
 } // namespace
 
 Expected<void>
-writeFrame(int fd, const std::string &payload)
+writeAll(int fd, const std::string &bytes)
 {
-    if (payload.size() > maxFrameBytes)
-        return Error{ErrorCode::Config, "serve", "frame exceeds size cap"};
-    std::string framed;
-    framed.reserve(4 + payload.size());
-    putU32(&framed, static_cast<std::uint32_t>(payload.size()));
-    framed += payload;
     std::size_t sent = 0;
-    while (sent < framed.size()) {
-        const ssize_t w = ::write(fd, framed.data() + sent,
-                                  framed.size() - sent);
+    while (sent < bytes.size()) {
+        const ssize_t w =
+            ::write(fd, bytes.data() + sent, bytes.size() - sent);
         if (w < 0) {
             if (errno == EINTR)
                 continue;
@@ -269,6 +286,18 @@ writeFrame(int fd, const std::string &payload)
         sent += static_cast<std::size_t>(w);
     }
     return {};
+}
+
+Expected<void>
+writeFrame(int fd, const std::string &payload)
+{
+    if (payload.size() > maxFrameBytes)
+        return Error{ErrorCode::Config, "serve", "frame exceeds size cap"};
+    std::string framed;
+    framed.reserve(4 + payload.size());
+    putU32(&framed, static_cast<std::uint32_t>(payload.size()));
+    framed += payload;
+    return writeAll(fd, framed);
 }
 
 Expected<bool>
@@ -294,26 +323,31 @@ readFrame(int fd, std::string *payload)
 void
 FrameBuffer::feed(const char *bytes, std::size_t n)
 {
-    if (!damaged_)
-        buffer_.append(bytes, n);
+    if (damaged_)
+        return;
+    // Drop the frames next() consumed since the last feed in one move.
+    buffer_.erase(0, offset_);
+    offset_ = 0;
+    buffer_.append(bytes, n);
 }
 
 bool
 FrameBuffer::next(std::string *payload)
 {
-    if (damaged_ || buffer_.size() < 4)
+    if (damaged_ || pendingBytes() < 4)
         return false;
     std::uint32_t length = 0;
     for (int i = 3; i >= 0; --i)
-        length = (length << 8) | static_cast<std::uint8_t>(buffer_[i]);
+        length = (length << 8) |
+                 static_cast<std::uint8_t>(buffer_[offset_ + i]);
     if (length > maxFrameBytes) {
         damaged_ = true;
         return false;
     }
-    if (buffer_.size() < 4 + static_cast<std::size_t>(length))
+    if (pendingBytes() < 4 + static_cast<std::size_t>(length))
         return false;
-    payload->assign(buffer_, 4, length);
-    buffer_.erase(0, 4 + static_cast<std::size_t>(length));
+    payload->assign(buffer_, offset_ + 4, length);
+    offset_ += 4 + static_cast<std::size_t>(length);
     return true;
 }
 

@@ -24,8 +24,10 @@
  *                                        -> Ok {text: result JSON}
  *   Drain   ()                           -> Ok; server drains and exits
  *
- * Backpressure is explicit: when the server's bounded request queue is
- * full, the reader thread answers `Shed` immediately — it never blocks
+ * Backpressure: memo requests (Lookup, Update, Stats, Drain) are
+ * answered as they are read, so the socket buffer is their
+ * backpressure. Only `Run` waits in the server's bounded queue; when
+ * it is full the reader answers `Shed` immediately — it never blocks
  * the accept loop and never silently drops a frame. During drain new
  * requests get `Draining`. Clients must treat both as retryable.
  */
@@ -57,7 +59,7 @@ enum class Status : std::uint8_t
     Ok = 0,
     Hit = 1,
     Miss = 2,
-    /** Bounded request queue full; request not processed (retryable). */
+    /** Bounded Run queue full; request not processed (retryable). */
     Shed = 3,
     /** Update refused: the tenant is at its LUT entry quota. */
     QuotaExceeded = 4,
@@ -108,6 +110,10 @@ std::string encodeRequest(const Request &request);
 /** Serialize @p reply as one payload (no length prefix). */
 std::string encodeReply(const Reply &reply);
 
+/** Append @p reply to @p out as one length-prefixed frame, so many
+ * replies can leave in a single write. */
+void appendReplyFrame(std::string *out, const Reply &reply);
+
 /** Parse one request payload. ErrorCode::Config on malformed bytes. */
 Expected<Request> decodeRequest(const std::string &payload);
 
@@ -115,9 +121,12 @@ Expected<Request> decodeRequest(const std::string &payload);
 Expected<Reply> decodeReply(const std::string &payload);
 
 /**
- * Write one length-prefixed frame to @p fd (loops over partial
- * writes; EINTR-safe). ErrorCode::Io on a closed or failed stream.
+ * Write every byte of @p bytes to @p fd (loops over partial writes;
+ * EINTR-safe). ErrorCode::Io on a closed or failed stream.
  */
+Expected<void> writeAll(int fd, const std::string &bytes);
+
+/** Write one length-prefixed frame to @p fd (see writeAll()). */
 Expected<void> writeFrame(int fd, const std::string &payload);
 
 /**
@@ -130,9 +139,11 @@ Expected<bool> readFrame(int fd, std::string *payload);
 
 /**
  * Incremental frame splitter for nonblocking readers: append raw bytes
- * with feed(), then drain complete frames with next(). Oversized
- * length prefixes poison the buffer (damaged() turns true) — the
- * connection should be dropped.
+ * with feed(), then drain complete frames with next(). Draining is
+ * linear in the bytes fed: next() only advances a read offset, and
+ * feed() compacts the consumed prefix once. Oversized length prefixes
+ * poison the buffer (damaged() turns true) — the connection should be
+ * dropped.
  */
 class FrameBuffer
 {
@@ -143,10 +154,13 @@ class FrameBuffer
     bool next(std::string *payload);
 
     bool damaged() const { return damaged_; }
-    std::size_t pendingBytes() const { return buffer_.size(); }
+    /** Bytes fed but not yet returned by next(). */
+    std::size_t pendingBytes() const { return buffer_.size() - offset_; }
 
   private:
     std::string buffer_;
+    /** Start of the first undecoded byte in buffer_. */
+    std::size_t offset_ = 0;
     bool damaged_ = false;
 };
 

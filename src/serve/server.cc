@@ -50,6 +50,66 @@ distributionPercentile(const Distribution &d, double q)
     return static_cast<double>(d.sampleMax());
 }
 
+/** Simulate the "backend:workload" @p spec at dataset @p scale as a
+ * RunSession; the reply carries the result JSON or why it could not
+ * run. */
+Reply
+runSession(const std::string &spec, double scale)
+{
+    Reply r;
+    const std::size_t colon = spec.find(':');
+    if (colon == std::string::npos) {
+        r.status = Status::BadRequest;
+        r.text = "run wants 'backend:workload', got '" + spec + "'";
+        return r;
+    }
+    const std::string backend = spec.substr(0, colon);
+    const std::string workloadName = spec.substr(colon + 1);
+
+    bool known = false;
+    for (const std::string &name : workloadNames())
+        known |= name == workloadName;
+    if (!known) {
+        r.status = Status::BadRequest;
+        r.text = "unknown workload '" + workloadName + "'";
+        return r;
+    }
+
+    try {
+        ExperimentConfig config;
+        config.dataset.scale = scale;
+        const std::unique_ptr<Workload> workload =
+            makeWorkload(workloadName);
+        SimMemory mem;
+        workload->prepare(mem, config.dataset);
+        const Program baselineProg = workload->build();
+
+        // The session advances phase by phase; SIGINT/SIGTERM cancels
+        // between phases through the RunControl.
+        RunControl control;
+        control.cancelled = interruptRequested;
+        RunSession session(config, *workload, backend, baselineProg, mem,
+                           BackendSessionHooks{&control, "serve"});
+        while (session.step()) {
+        }
+        const RunResult result = session.finish();
+
+        std::ostringstream out;
+        out << "{\"backend\":\"" << result.backend
+            << "\",\"workload\":\"" << workloadName
+            << "\",\"cycles\":" << result.stats.cycles
+            << ",\"lookups\":" << result.lookups
+            << ",\"hits\":" << result.hits
+            << ",\"hit_rate\":" << result.hitRate() << "}";
+        r.status = Status::Ok;
+        r.text = out.str();
+    } catch (const AxException &e) {
+        r.status = Status::Error;
+        r.text = e.error().describe();
+    }
+    return r;
+}
+
 } // namespace
 
 MemoServer::MemoServer(const ServerConfig &config)
@@ -59,6 +119,7 @@ MemoServer::MemoServer(const ServerConfig &config)
     latencyUs_.resize(table_.tenantCount());
     for (Distribution &d : latencyUs_)
         d.init(0, latencyHiUs, latencyBucketUs);
+    batchServed_.assign(table_.tenantCount(), 0);
 }
 
 MemoServer::~MemoServer()
@@ -142,8 +203,13 @@ MemoServer::attachClient(int fd)
 void
 MemoServer::requestDrain()
 {
-    draining_.store(true);
-    queueCv_.notify_all();
+    {
+        // Under the queue lock, so a worker about to wait for a Run
+        // cannot miss the wake-up.
+        const std::lock_guard<std::mutex> lock(mutex_);
+        draining_.store(true);
+    }
+    runsCv_.notify_all();
     if (wakePipe_[1] >= 0) {
         const char byte = 'd';
         (void)!::write(wakePipe_[1], &byte, 1);
@@ -175,8 +241,43 @@ MemoServer::serveUntilDrained(bool pollInterrupt)
     drainedFlag_.store(true);
 }
 
+ServerTotals
+MemoServer::totals() const
+{
+    constexpr auto relaxed = std::memory_order_relaxed;
+    ServerTotals t;
+    t.accepted = counters_.accepted.load(relaxed);
+    t.requests = counters_.requests.load(relaxed);
+    t.sheds = counters_.sheds.load(relaxed);
+    t.drained = counters_.drained.load(relaxed);
+    t.badFrames = counters_.badFrames.load(relaxed);
+    t.runs = counters_.runs.load(relaxed);
+    return t;
+}
+
 // ---------------------------------------------------------------------
-// Reader thread: owns every fd.
+// Reader thread: owns every fd and serves the memo requests.
+
+void
+MemoServer::addConnection(int fd)
+{
+    auto conn = std::make_shared<Connection>();
+    conn->fd = fd;
+    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+    connections_.push_back(std::move(conn));
+}
+
+void
+MemoServer::adoptPendingClients()
+{
+    std::vector<int> fds;
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        fds.swap(pendingFds_);
+    }
+    for (int fd : fds)
+        addConnection(fd);
+}
 
 void
 MemoServer::acceptPending()
@@ -184,13 +285,16 @@ MemoServer::acceptPending()
     // The listen fd is blocking: accept exactly one (POLLIN guarantees
     // it will not block); poll() fires again while more are pending.
     const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0)
-        return;
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
-    ++totals_.accepted;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.push_back(std::move(conn));
+    if (fd >= 0)
+        addConnection(fd);
+}
+
+void
+MemoServer::send(Connection &conn, const std::string &bytes)
+{
+    const std::lock_guard<std::mutex> lock(conn.writeMutex);
+    if (conn.fd < 0 || !writeAll(conn.fd, bytes).ok())
+        conn.dead.store(true);
 }
 
 void
@@ -204,188 +308,87 @@ MemoServer::pumpConnection(const std::shared_ptr<Connection> &conn)
     do {
         n = ::read(conn->fd, buffer, sizeof(buffer));
     } while (n < 0 && errno == EINTR);
+    const auto readAt = std::chrono::steady_clock::now();
     if (n <= 0) {
         if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK))
-            conn->dead = true;
+            conn->dead.store(true);
         if (n < 0)
             return;
     } else {
         conn->frames.feed(buffer, static_cast<std::size_t>(n));
     }
 
+    std::string replies;
     std::string payload;
     while (conn->frames.next(&payload)) {
-        Expected<Request> request = decodeRequest(payload);
-        if (!request.ok()) {
-            ++totals_.badFrames;
-            Reply bad;
-            bad.status = Status::BadRequest;
-            bad.text = request.error().message;
-            reply(conn, bad);
+        const Expected<Request> request = decodeRequest(payload);
+        if (request.ok()) {
+            serveRequest(conn, request.value(), &replies);
             continue;
         }
-        routeRequest(conn, std::move(request).value());
+        counters_.badFrames.fetch_add(1, std::memory_order_relaxed);
+        Reply bad;
+        bad.status = Status::BadRequest;
+        bad.text = request.error().message;
+        appendReplyFrame(&replies, bad);
     }
     if (conn->frames.damaged()) {
-        ++totals_.badFrames;
-        conn->dead = true;
+        counters_.badFrames.fetch_add(1, std::memory_order_relaxed);
+        conn->dead.store(true);
     }
-}
-
-void
-MemoServer::routeRequest(const std::shared_ptr<Connection> &conn,
-                         Request request)
-{
-    if (draining_.load()) {
-        ++totals_.drained;
-        Reply refused;
-        refused.status = Status::Draining;
-        refused.seq = request.seq;
-        reply(conn, refused);
+    if (replies.empty())
         return;
-    }
+    send(*conn, replies);
 
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (queue_.size() < config_.queueDepth) {
-            queue_.push_back({conn, std::move(request),
-                              std::chrono::steady_clock::now()});
-            telemetry::counter("serve.queue_depth",
-                               static_cast<double>(queue_.size()));
-            lock.unlock();
-            queueCv_.notify_one();
-            return;
-        }
-    }
-
-    // Bounded queue is full: shed with status, never block the
-    // accept loop (the backpressure contract).
-    ++totals_.sheds;
-    Reply shed;
-    shed.status = Status::Shed;
-    shed.seq = request.seq;
-    reply(conn, shed);
-}
-
-void
-MemoServer::readerLoop()
-{
-    while (!stop_.load()) {
-        std::vector<std::shared_ptr<Connection>> conns;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            for (int fd : pendingFds_) {
-                auto conn = std::make_shared<Connection>();
-                conn->fd = fd;
-                ++totals_.accepted;
-                connections_.push_back(std::move(conn));
-            }
-            pendingFds_.clear();
-            conns = connections_;
-        }
-
-        std::vector<pollfd> fds;
-        fds.push_back({wakePipe_[0], POLLIN, 0});
-        if (listenFd_ >= 0)
-            fds.push_back({listenFd_, POLLIN, 0});
-        for (const auto &conn : conns)
-            fds.push_back({conn->fd, POLLIN, 0});
-
-        if (::poll(fds.data(), fds.size(), 100) < 0) {
-            if (errno == EINTR)
-                continue;
-            axm_warn("serve: poll failed: ", std::strerror(errno));
-            break;
-        }
-
-        std::size_t next = 0;
-        if (fds[next].revents & POLLIN) {
-            char drainBuf[64];
-            (void)!::read(wakePipe_[0], drainBuf, sizeof(drainBuf));
-        }
-        ++next;
-        if (listenFd_ >= 0) {
-            if (fds[next].revents & POLLIN)
-                acceptPending();
-            ++next;
-        }
-        for (std::size_t i = 0; i < conns.size(); ++i) {
-            if (fds[next + i].revents & (POLLIN | POLLHUP | POLLERR))
-                pumpConnection(conns[i]);
-        }
-
-        // Sweep dead connections.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (auto it = connections_.begin();
-             it != connections_.end();) {
-            if ((*it)->dead) {
-                ::close((*it)->fd);
-                (*it)->fd = -1;
-                it = connections_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker thread: executes requests against the tenant table.
-
-bool
-MemoServer::popRequest(QueuedRequest &out, int waitMs)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (queue_.empty() && waitMs > 0)
-        queueCv_.wait_for(lock, std::chrono::milliseconds(waitMs),
-                          [this] { return !queue_.empty(); });
-    if (queue_.empty())
-        return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
-}
-
-void
-MemoServer::workerLoop()
-{
-    while (true) {
-        QueuedRequest queued;
-        if (popRequest(queued, 50)) {
-            execute(queued);
-            continue;
-        }
-        if (draining_.load())
-            break; // queue empty and no new intake: drained
+    // Every memo request of the batch waited from the read until its
+    // reply left with the batch.
+    const auto us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - readAt)
+            .count());
+    const std::lock_guard<std::mutex> lock(statsMutex_);
+    for (std::size_t t = 0; t < batchServed_.size(); ++t) {
+        if (batchServed_[t])
+            latencyUs_[t].sample(us, batchServed_[t]);
+        batchServed_[t] = 0;
     }
 }
 
 void
-MemoServer::reply(const std::shared_ptr<Connection> &conn,
-                  const Reply &r)
+MemoServer::serveRequest(const std::shared_ptr<Connection> &conn,
+                         const Request &request, std::string *out)
 {
-    const std::lock_guard<std::mutex> lock(conn->writeMutex);
-    if (conn->fd < 0)
-        return;
-    const Expected<void> written = writeFrame(conn->fd, encodeReply(r));
-    if (!written.ok())
-        conn->dead = true;
-}
-
-void
-MemoServer::execute(QueuedRequest &queued)
-{
-    AXM_SPAN("serve", opName(queued.request.op));
-    ++totals_.requests;
-    const Request &request = queued.request;
-
-    if (request.op == Op::Run) {
-        executeRun(queued);
-        return;
-    }
-
     Reply r;
     r.seq = request.seq;
+    if (draining_.load()) {
+        counters_.drained.fetch_add(1, std::memory_order_relaxed);
+        r.status = Status::Draining;
+        appendReplyFrame(out, r);
+        return;
+    }
+
+    if (request.op == Op::Run) {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            if (runs_.size() < config_.queueDepth) {
+                runs_.push_back({conn, request});
+                telemetry::counter("serve.queue_depth",
+                                   static_cast<double>(runs_.size()));
+                lock.unlock();
+                runsCv_.notify_one();
+                return;
+            }
+        }
+        // The Run queue is full: shed with status, never block the
+        // reader (the backpressure contract).
+        counters_.sheds.fetch_add(1, std::memory_order_relaxed);
+        r.status = Status::Shed;
+        appendReplyFrame(out, r);
+        return;
+    }
+
+    AXM_SPAN("serve", opName(request.op));
+    counters_.requests.fetch_add(1, std::memory_order_relaxed);
     switch (request.op) {
     case Op::Lookup:
     case Op::Update: {
@@ -394,6 +397,7 @@ MemoServer::execute(QueuedRequest &queued)
             r.text = "unknown tenant " + std::to_string(request.tenant);
             break;
         }
+        ++batchServed_[request.tenant];
         if (request.op == Op::Lookup) {
             const TenantTable::LookupResult result = table_.lookup(
                 request.tenant, request.kernel, request.key);
@@ -420,103 +424,110 @@ MemoServer::execute(QueuedRequest &queued)
         r.status = Status::Ok;
         break;
     case Op::Run:
-        break; // handled above
+        break; // queued above
     }
-    reply(queued.conn, r);
+    appendReplyFrame(out, r);
 
-    if ((request.op == Op::Lookup || request.op == Op::Update) &&
-        table_.validTenant(request.tenant)) {
-        const auto us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - queued.enqueued)
-                .count();
-        const std::lock_guard<std::mutex> lock(statsMutex_);
-        latencyUs_[request.tenant].sample(
-            static_cast<std::uint64_t>(us));
-    }
-
+    // Requests later in the same read are refused with Draining.
     if (request.op == Op::Drain)
         requestDrain();
 }
 
 void
-MemoServer::executeRun(QueuedRequest &queued)
+MemoServer::sweepDeadConnections()
 {
-    Reply r;
-    r.seq = queued.request.seq;
-
-    const std::string &spec = queued.request.text;
-    const std::size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
-        r.status = Status::BadRequest;
-        r.text = "run wants 'backend:workload', got '" + spec + "'";
-        reply(queued.conn, r);
-        return;
-    }
-    const std::string backend = spec.substr(0, colon);
-    const std::string workloadName = spec.substr(colon + 1);
-
-    bool known = false;
-    for (const std::string &name : workloadNames())
-        known |= name == workloadName;
-    if (!known) {
-        r.status = Status::BadRequest;
-        r.text = "unknown workload '" + workloadName + "'";
-        reply(queued.conn, r);
-        return;
-    }
-
-    try {
-        ExperimentConfig config;
-        config.dataset.scale = config_.runScale;
-        const std::unique_ptr<Workload> workload =
-            makeWorkload(workloadName);
-        SimMemory mem;
-        workload->prepare(mem, config.dataset);
-        const Program baselineProg = workload->build();
-
-        // The session split at work: the run advances phase by phase,
-        // and queued memo requests are serviced between phases so one
-        // batch run cannot starve lookup traffic. SIGINT/SIGTERM
-        // cancels between phases through the RunControl.
-        RunControl control;
-        control.cancelled = interruptRequested;
-        RunSession session(config, *workload, backend, baselineProg,
-                           mem, BackendSessionHooks{&control, "serve"});
-
-        std::deque<QueuedRequest> deferredRuns;
-        bool more = true;
-        while (more) {
-            more = session.step();
-            QueuedRequest interleaved;
-            while (popRequest(interleaved, 0)) {
-                if (interleaved.request.op == Op::Run)
-                    deferredRuns.push_back(std::move(interleaved));
-                else
-                    execute(interleaved);
-            }
+    for (auto it = connections_.begin(); it != connections_.end();) {
+        Connection &conn = **it;
+        if (!conn.dead.load()) {
+            ++it;
+            continue;
         }
-        const RunResult result = session.finish();
-        ++totals_.runs;
-
-        std::ostringstream out;
-        out << "{\"backend\":\"" << result.backend
-            << "\",\"workload\":\"" << workloadName
-            << "\",\"cycles\":" << result.stats.cycles
-            << ",\"lookups\":" << result.lookups
-            << ",\"hits\":" << result.hits
-            << ",\"hit_rate\":" << result.hitRate() << "}";
-        r.status = Status::Ok;
-        r.text = out.str();
-        reply(queued.conn, r);
-
-        for (QueuedRequest &deferred : deferredRuns)
-            executeRun(deferred);
-    } catch (const AxException &e) {
-        r.status = Status::Error;
-        r.text = e.error().describe();
-        reply(queued.conn, r);
+        {
+            // A Run reply in flight finishes first, and none lands on
+            // an fd number the next connection may reuse.
+            const std::lock_guard<std::mutex> lock(conn.writeMutex);
+            ::close(conn.fd);
+            conn.fd = -1;
+        }
+        it = connections_.erase(it);
     }
+}
+
+void
+MemoServer::readerLoop()
+{
+    std::vector<pollfd> fds;
+    while (!stop_.load()) {
+        adoptPendingClients();
+
+        // poll() skips negative fds, so a missing listen socket needs
+        // no special case.
+        fds.clear();
+        fds.push_back({wakePipe_[0], POLLIN, 0});
+        fds.push_back({listenFd_, POLLIN, 0});
+        for (const auto &conn : connections_)
+            fds.push_back({conn->fd, POLLIN, 0});
+
+        if (::poll(fds.data(), fds.size(), 100) < 0) {
+            if (errno == EINTR)
+                continue;
+            axm_warn("serve: poll failed: ", std::strerror(errno));
+            break;
+        }
+
+        if (fds[0].revents & POLLIN) {
+            char drainBuf[64];
+            (void)!::read(wakePipe_[0], drainBuf, sizeof(drainBuf));
+        }
+        for (std::size_t i = 0; i < connections_.size(); ++i)
+            if (fds[2 + i].revents & (POLLIN | POLLHUP | POLLERR))
+                pumpConnection(connections_[i]);
+        if (fds[1].revents & POLLIN)
+            acceptPending();
+        sweepDeadConnections();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Worker thread: runs Run sessions.
+
+bool
+MemoServer::popRun(QueuedRun &out)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    runsCv_.wait(lock, [this] { return !runs_.empty() || draining_.load(); });
+    if (runs_.empty())
+        return false; // draining, and every queued Run has run
+    out = std::move(runs_.front());
+    runs_.pop_front();
+    return true;
+}
+
+void
+MemoServer::workerLoop()
+{
+    for (;;) {
+        // Scoped per Run, so a finished Run does not keep its
+        // connection alive while the worker waits for the next one.
+        QueuedRun run;
+        if (!popRun(run))
+            return;
+        executeRun(run);
+    }
+}
+
+void
+MemoServer::executeRun(const QueuedRun &run)
+{
+    AXM_SPAN("serve", "run");
+    counters_.requests.fetch_add(1, std::memory_order_relaxed);
+    Reply r = runSession(run.request.text, config_.runScale);
+    r.seq = run.request.seq;
+    if (r.status == Status::Ok)
+        counters_.runs.fetch_add(1, std::memory_order_relaxed);
+    std::string bytes;
+    appendReplyFrame(&bytes, r);
+    send(*run.conn, bytes);
 }
 
 // ---------------------------------------------------------------------
@@ -529,14 +540,13 @@ MemoServer::statsJson() const
     std::size_t queueDepth = 0;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        queueDepth = queue_.size();
+        queueDepth = runs_.size();
     }
-    out << "{\"server\":{\"accepted\":" << totals_.accepted
-        << ",\"requests\":" << totals_.requests
-        << ",\"sheds\":" << totals_.sheds
-        << ",\"drain_refusals\":" << totals_.drained
-        << ",\"bad_frames\":" << totals_.badFrames
-        << ",\"runs\":" << totals_.runs
+    const ServerTotals t = totals();
+    out << "{\"server\":{\"accepted\":" << t.accepted
+        << ",\"requests\":" << t.requests << ",\"sheds\":" << t.sheds
+        << ",\"drain_refusals\":" << t.drained
+        << ",\"bad_frames\":" << t.badFrames << ",\"runs\":" << t.runs
         << ",\"queue_depth\":" << queueDepth << "},";
 
     out << "\"latency_us\":{";

@@ -2,34 +2,31 @@
  * @file
  * The long-lived memo server behind `axmemo serve` (DESIGN.md §14).
  *
- * Two threads split the work so slow requests can never wedge the
- * transport:
+ * Two threads split the work by request cost:
  *
  *  - The **reader thread** owns every fd: it poll()s the listening
  *    socket plus all client connections, splits the byte streams into
- *    frames (protocol.hh FrameBuffer), decodes requests, and pushes
- *    them onto a bounded queue. Backpressure is explicit: when the
- *    queue is full the reader replies `Shed` immediately instead of
- *    blocking — the accept loop keeps accepting, clients learn they
- *    are being load-shed, and nothing is silently dropped. While
+ *    frames (protocol.hh FrameBuffer) and decodes requests. It serves
+ *    the memo requests — Lookup, Update, Stats, Drain — itself, as it
+ *    decodes them, and sends every reply produced from one read() in
+ *    one write(). A memo request costs a few hundred nanoseconds of
+ *    table work, so the socket buffer is its backpressure. While
  *    draining it replies `Draining` to everything new.
  *
- *  - The **worker thread** pops the queue and executes requests
- *    against the TenantTable. A `Run` request opens a core RunSession
- *    (the prepare()/step() backend split) and advances it phase by
- *    phase, servicing queued memo requests between phases — one slow
- *    batch run does not starve lookup traffic, which is exactly what
- *    the session split exists for.
+ *  - The **worker thread** runs `Run` requests, which simulate for
+ *    milliseconds: the reader pushes them onto a bounded queue and
+ *    replies `Shed` immediately when it is full. The worker opens a
+ *    core RunSession (the prepare()/step() backend split) and advances
+ *    it phase by phase. Memo traffic never waits behind a Run.
  *
  * Graceful drain: requestDrain() — called by the SIGTERM poll, the
  * `Drain` opcode, or a test — stops the intake, lets the worker finish
- * the queue, stamps a final stats snapshot (core atomicWriteFile, the
- * PR 5 crash-safety contract), and serve() returns. In-flight Run
- * sessions observe the drain through their RunControl between phases.
+ * the queued Runs, writes a final stats snapshot crash-safely (core
+ * atomicWriteFile), and serveUntilDrained() returns.
  *
  * Per-tenant observability: service-latency Distributions (obs/stats)
- * per tenant, span lanes (category "serve") per request and per
- * session phase, and a queue-depth counter track.
+ * per tenant, span lanes (category "serve") per request, and a
+ * Run-queue-depth counter track.
  */
 
 #ifndef AXMEMO_SERVE_SERVER_HH
@@ -61,7 +58,8 @@ struct ServerConfig
      * attach via attachClient(), as the tests and perf harness do). */
     std::string socketPath;
     TenantTableConfig table{};
-    /** Bounded request-queue depth; a full queue sheds. */
+    /** Bounded depth of the Run queue; a full queue sheds. Memo
+     * requests never queue: the socket buffer is their backpressure. */
     std::size_t queueDepth = 1024;
     /** Drain-snapshot file; empty = no snapshot. */
     std::string snapshotPath;
@@ -72,12 +70,12 @@ struct ServerConfig
     bool reportTiming = true;
 };
 
-/** Whole-process request counters. */
+/** Whole-process request counters (a snapshot; see totals()). */
 struct ServerTotals
 {
     std::uint64_t accepted = 0;  ///< connections accepted
-    std::uint64_t requests = 0;  ///< requests executed by the worker
-    std::uint64_t sheds = 0;     ///< requests refused with Shed
+    std::uint64_t requests = 0;  ///< requests executed (either thread)
+    std::uint64_t sheds = 0;     ///< Run requests refused with Shed
     std::uint64_t drained = 0;   ///< requests refused with Draining
     std::uint64_t badFrames = 0; ///< malformed frames / damaged streams
     std::uint64_t runs = 0;      ///< Run sessions completed
@@ -104,8 +102,8 @@ class MemoServer
      */
     void attachClient(int fd);
 
-    /** Ask the server to drain: stop intake, finish the queue, write
-     * the snapshot. Idempotent, callable from any thread. */
+    /** Ask the server to drain: stop intake, finish the queued Runs,
+     * write the snapshot. Idempotent, callable from any thread. */
     void requestDrain();
 
     /**
@@ -118,73 +116,103 @@ class MemoServer
     /** True once the drain finished and both threads exited. */
     bool drained() const { return drainedFlag_.load(); }
 
-    const ServerTotals &totals() const { return totals_; }
+    /** A snapshot of the request counters; safe while serving. */
+    ServerTotals totals() const;
+    /** The memo table. The reader thread owns it while serving; read
+     * it after a drain. */
     const TenantTable &tenants() const { return table_; }
 
     /** Stats-reply / snapshot body: tenant table JSON plus server
-     * totals, queue depth and per-tenant latency percentiles. */
+     * totals, Run-queue depth and per-tenant latency percentiles. The
+     * reader calls it for Stats; other callers wait for the drain. */
     std::string statsJson() const;
 
   private:
     struct Connection
     {
+        /** Closed and set to -1 by the reader under writeMutex. */
         int fd = -1;
+        /** Reader thread only. */
         FrameBuffer frames;
+        /** Serializes the reader's reply batches, the worker's Run
+         * replies and the reader's close of fd. */
         std::mutex writeMutex;
-        bool dead = false;
+        /** Set by whichever thread's write or read fails. */
+        std::atomic<bool> dead{false};
     };
 
-    struct QueuedRequest
+    /** A Run request waiting for the worker. */
+    struct QueuedRun
     {
         std::shared_ptr<Connection> conn;
         Request request;
-        /** telemetry::detail-free host stamp for service latency. */
-        std::chrono::steady_clock::time_point enqueued;
+    };
+
+    /** ServerTotals as relaxed atomics: both threads count. */
+    struct Counters
+    {
+        std::atomic<std::uint64_t> accepted{0};
+        std::atomic<std::uint64_t> requests{0};
+        std::atomic<std::uint64_t> sheds{0};
+        std::atomic<std::uint64_t> drained{0};
+        std::atomic<std::uint64_t> badFrames{0};
+        std::atomic<std::uint64_t> runs{0};
     };
 
     void readerLoop();
     void workerLoop();
+    /** Take the fds attachClient() handed over. */
+    void adoptPendingClients();
     /** Accept one pending connection on the listen fd (poll() fires
      * again immediately while more are waiting). */
     void acceptPending();
-    /** Read one buffer's worth from @p conn; decode and route. */
+    void addConnection(int fd);
+    /**
+     * Read once from @p conn, serve or queue every complete request in
+     * what arrived, then write all their replies in one write().
+     */
     void pumpConnection(const std::shared_ptr<Connection> &conn);
-    /** Route one decoded request: shed / drain-refuse / enqueue. */
-    void routeRequest(const std::shared_ptr<Connection> &conn,
-                      Request request);
-    /** Execute one queued request on the worker thread. */
-    void execute(QueuedRequest &queued);
-    /** Execute a Run request, draining memo requests between phases. */
-    void executeRun(QueuedRequest &queued);
-    void reply(const std::shared_ptr<Connection> &conn,
-               const Reply &reply);
-    /** Pop one request; false when the queue is empty and intake is
-     * closed (or @p waitMs elapsed with nothing to do). */
-    bool popRequest(QueuedRequest &out, int waitMs);
+    /** Serve one decoded request on the reader thread, appending its
+     * reply to @p out, or queue it when it is a Run. */
+    void serveRequest(const std::shared_ptr<Connection> &conn,
+                      const Request &request, std::string *out);
+    /** Run one queued Run session on the worker thread. */
+    void executeRun(const QueuedRun &run);
+    /** Write @p bytes (whole reply frames) to @p conn; a failed write
+     * marks it dead. */
+    void send(Connection &conn, const std::string &bytes);
+    /** Pop one Run; false when the queue is empty and draining. */
+    bool popRun(QueuedRun &out);
+    /** Close and forget connections marked dead. */
+    void sweepDeadConnections();
     void writeSnapshot();
 
     ServerConfig config_;
     TenantTable table_;
-    ServerTotals totals_;
+    Counters counters_;
 
     int listenFd_ = -1;
     /** Reader-side wakeup pipe: attachClient()/requestDrain() write a
      * byte so the poll() loop notices state changes immediately. */
     int wakePipe_[2] = {-1, -1};
 
-    mutable std::mutex mutex_; ///< guards queue_, connections_, pendingFds_
-    std::condition_variable queueCv_;
-    std::deque<QueuedRequest> queue_;
-    std::vector<std::shared_ptr<Connection>> connections_;
+    mutable std::mutex mutex_; ///< guards runs_ and pendingFds_
+    std::condition_variable runsCv_;
+    std::deque<QueuedRun> runs_;
     std::vector<int> pendingFds_; ///< attachClient before reader picks up
+    /** Reader thread only (and the destructor, after the join). */
+    std::vector<std::shared_ptr<Connection>> connections_;
 
     std::atomic<bool> draining_{false};
     std::atomic<bool> stop_{false}; ///< reader exit flag
     std::atomic<bool> drainedFlag_{false};
 
-    /** Per-tenant service latency (enqueue -> reply written), µs. */
+    /** Per-tenant service latency (request read -> its reply batch
+     * written), µs. */
     mutable std::mutex statsMutex_;
     std::vector<Distribution> latencyUs_;
+    /** Reader only: memo requests per tenant in the current batch. */
+    std::vector<std::uint64_t> batchServed_;
 
     std::thread reader_;
     std::thread worker_;

@@ -3,15 +3,19 @@
  * Serve-mode tests (DESIGN.md §14): the wire codec and frame splitter,
  * TenantTable partitioning/quota semantics, and a full in-process
  * MemoServer round trip over a socketpair — two tenants, quota
- * isolation, Run sessions, stats, drain — plus the replay client
- * driven by a generated request trace.
+ * isolation, pipelined memo batches, Run sessions and Run-queue
+ * shedding, stats, drain — plus the replay client driven by a
+ * generated request trace.
  */
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +80,34 @@ TEST(ServeProtocol, TruncatedPayloadIsRejected)
         EXPECT_FALSE(decodeRequest(whole.substr(0, n)).ok()) << n;
 }
 
+/** @p payload behind its u32le length prefix. */
+std::string
+framed(const std::string &payload)
+{
+    const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
+    std::string out;
+    out.push_back(static_cast<char>(n & 0xff));
+    out.push_back(static_cast<char>((n >> 8) & 0xff));
+    out.push_back(static_cast<char>((n >> 16) & 0xff));
+    out.push_back(static_cast<char>((n >> 24) & 0xff));
+    return out + payload;
+}
+
+TEST(ServeProtocol, ReplyFramesConcatenateIntoOneStream)
+{
+    Reply hit;
+    hit.status = Status::Hit;
+    hit.seq = 3;
+    hit.data = 99;
+    Reply stats;
+    stats.seq = 4;
+    stats.text = "{\"tenants\":2}";
+    std::string stream;
+    appendReplyFrame(&stream, hit);
+    appendReplyFrame(&stream, stats);
+    EXPECT_EQ(stream, framed(encodeReply(hit)) + framed(encodeReply(stats)));
+}
+
 TEST(ServeProtocol, FrameBufferSplitsArbitraryChunks)
 {
     // Two frames fed one byte at a time must come out intact.
@@ -84,19 +116,7 @@ TEST(ServeProtocol, FrameBufferSplitsArbitraryChunks)
     second.op = Op::Stats;
     second.seq = 5;
     const std::string b = encodeRequest(second);
-
-    std::string stream;
-    const auto prefix = [](const std::string &payload) {
-        const std::uint32_t n =
-            static_cast<std::uint32_t>(payload.size());
-        std::string out;
-        out.push_back(static_cast<char>(n & 0xff));
-        out.push_back(static_cast<char>((n >> 8) & 0xff));
-        out.push_back(static_cast<char>((n >> 16) & 0xff));
-        out.push_back(static_cast<char>((n >> 24) & 0xff));
-        return out + payload;
-    };
-    stream = prefix(a) + prefix(b);
+    const std::string stream = framed(a) + framed(b);
 
     FrameBuffer frames;
     std::vector<std::string> out;
@@ -111,6 +131,45 @@ TEST(ServeProtocol, FrameBufferSplitsArbitraryChunks)
     EXPECT_EQ(out[1], b);
     EXPECT_FALSE(frames.damaged());
     EXPECT_EQ(frames.pendingBytes(), 0u);
+}
+
+TEST(ServeProtocol, FrameBufferDrainsOneLargeChunkInOrder)
+{
+    // One full 64 KB read's worth of 32-byte request frames, fed at
+    // once, plus the first half of one more frame.
+    constexpr std::uint32_t count = 2048;
+    std::string stream;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        Request r;
+        r.seq = i;
+        r.key = 1000 + i;
+        stream += framed(encodeRequest(r));
+    }
+    ASSERT_EQ(stream.size(), 64u * 1024u);
+    Request last;
+    last.seq = count;
+    const std::string tail = framed(encodeRequest(last));
+    stream += tail.substr(0, tail.size() / 2);
+
+    FrameBuffer frames;
+    frames.feed(stream.data(), stream.size());
+    std::string payload;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        ASSERT_TRUE(frames.next(&payload)) << i;
+        const Expected<Request> request = decodeRequest(payload);
+        ASSERT_TRUE(request.ok()) << i;
+        EXPECT_EQ(request.value().seq, i);
+        EXPECT_EQ(request.value().key, 1000u + i);
+    }
+    EXPECT_FALSE(frames.next(&payload));
+    EXPECT_EQ(frames.pendingBytes(), tail.size() / 2);
+
+    // The rest of the split frame completes it.
+    frames.feed(tail.data() + tail.size() / 2, tail.size() - tail.size() / 2);
+    ASSERT_TRUE(frames.next(&payload));
+    EXPECT_EQ(decodeRequest(payload).value().seq, count);
+    EXPECT_EQ(frames.pendingBytes(), 0u);
+    EXPECT_FALSE(frames.damaged());
 }
 
 TEST(ServeProtocol, OversizedLengthPrefixPoisonsTheBuffer)
@@ -185,6 +244,18 @@ TEST(TenantTable, QuotaIsPerTenantAndExact)
 
 // ------------------------------------------------- in-process server
 
+/** Read the next reply from @p fd. */
+Reply
+readReply(int fd)
+{
+    std::string payload;
+    const Expected<bool> got = readFrame(fd, &payload);
+    EXPECT_TRUE(got.ok() && got.value());
+    const Expected<Reply> reply = decodeReply(payload);
+    EXPECT_TRUE(reply.ok());
+    return reply.ok() ? reply.value() : Reply{};
+}
+
 /** Socketpair client handle: blocking request/response helper. */
 class Client
 {
@@ -209,12 +280,7 @@ class Client
         const Expected<void> sent =
             writeFrame(fd_, encodeRequest(request));
         EXPECT_TRUE(sent.ok());
-        std::string payload;
-        const Expected<bool> got = readFrame(fd_, &payload);
-        EXPECT_TRUE(got.ok() && got.value());
-        const Expected<Reply> reply = decodeReply(payload);
-        EXPECT_TRUE(reply.ok());
-        return reply.ok() ? reply.value() : Reply{};
+        return readReply(fd_);
     }
 
     int fd() const { return fd_; }
@@ -352,6 +418,188 @@ TEST(MemoServerTest, RunSessionExecutesBetweenMemoTraffic)
     EXPECT_EQ(client.call(bad).status, Status::BadRequest);
     bad.text = "axmemo:not-a-workload";
     EXPECT_EQ(client.call(bad).status, Status::BadRequest);
+
+    server.requestDrain();
+    server.serveUntilDrained(false);
+}
+
+/** Write all of @p bytes with exactly one write() call. */
+void
+writeOnce(int fd, const std::string &bytes)
+{
+    ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(MemoServerTest, PipelinedMemoRequestsAreAnsweredInSendOrder)
+{
+    ServerConfig config;
+    config.table = twoTenantConfig(PartitionPolicy::Partitioned, 0);
+    MemoServer server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client(server);
+
+    // 250 rounds of four requests, alternating tenants: a cold Lookup,
+    // the Update that fills it, a Lookup that hits it, and the same
+    // Lookup from the partitioned twin, which misses.
+    std::vector<Request> sent;
+    std::string stream;
+    for (std::uint64_t round = 0; round < 250; ++round) {
+        const auto tenant = static_cast<std::uint16_t>(round % 2);
+        const std::uint64_t key = 5000 + round;
+        for (const Request &r :
+             {memoRequest(Op::Lookup, tenant, key),
+              memoRequest(Op::Update, tenant, key, key * 7 + tenant),
+              memoRequest(Op::Lookup, tenant, key),
+              memoRequest(Op::Lookup, 1 - tenant, key)}) {
+            sent.push_back(r);
+            stream += framed(encodeRequest(r));
+        }
+    }
+    ASSERT_EQ(sent.size(), 1000u);
+    writeOnce(client.fd(), stream);
+
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+        const Reply r = readReply(client.fd());
+        ASSERT_EQ(r.seq, sent[i].seq) << "reply " << i << " out of order";
+        switch (i % 4) {
+        case 0:
+        case 3:
+            EXPECT_EQ(r.status, Status::Miss) << i;
+            break;
+        case 1:
+            EXPECT_EQ(r.status, Status::Ok) << i;
+            break;
+        case 2:
+            EXPECT_EQ(r.status, Status::Hit) << i;
+            EXPECT_EQ(r.data, sent[i - 1].data) << i;
+            break;
+        }
+    }
+
+    server.requestDrain();
+    server.serveUntilDrained(false);
+    EXPECT_EQ(server.totals().requests, 1000u);
+    EXPECT_EQ(server.totals().sheds, 0u);
+}
+
+/** A Run request of @p workload. */
+Request
+runRequest(std::uint32_t seq, const std::string &workload)
+{
+    Request r;
+    r.op = Op::Run;
+    r.seq = seq;
+    r.text = "axmemo:" + workload;
+    return r;
+}
+
+/** A Run scale at which an axmemo kmeans session simulates for tens of
+ * milliseconds, far longer than the reader takes to answer a batch of
+ * memo requests. */
+constexpr double slowRunScale = 0.03;
+
+TEST(MemoServerTest, MemoRequestsDoNotWaitBehindARun)
+{
+    ServerConfig config;
+    config.table = twoTenantConfig(PartitionPolicy::Partitioned, 0);
+    config.runScale = slowRunScale;
+    MemoServer server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client(server);
+
+    std::string stream = framed(encodeRequest(runRequest(1, "kmeans")));
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        Request lookup = memoRequest(Op::Lookup, 0, i);
+        lookup.seq = 100 + i;
+        stream += framed(encodeRequest(lookup));
+    }
+    writeOnce(client.fd(), stream);
+
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        const Reply r = readReply(client.fd());
+        ASSERT_EQ(r.seq, 100 + i) << "the Run was answered before a Lookup";
+        EXPECT_EQ(r.status, Status::Miss);
+    }
+    const Reply run = readReply(client.fd());
+    EXPECT_EQ(run.seq, 1u);
+    EXPECT_EQ(run.status, Status::Ok) << run.text;
+
+    server.requestDrain();
+    server.serveUntilDrained(false);
+    EXPECT_EQ(server.totals().runs, 1u);
+}
+
+TEST(MemoServerTest, FullRunQueueShedsAndCountsEveryShed)
+{
+    ServerConfig config;
+    config.table = twoTenantConfig(PartitionPolicy::Partitioned, 0);
+    config.runScale = slowRunScale;
+    config.queueDepth = 1;
+    MemoServer server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client(server);
+
+    // Eight slow Runs in one write: one runs, one waits, and at least
+    // six find the one-deep queue full.
+    constexpr std::uint32_t count = 8;
+    std::string stream;
+    for (std::uint32_t seq = 1; seq <= count; ++seq)
+        stream += framed(encodeRequest(runRequest(seq, "kmeans")));
+    writeOnce(client.fd(), stream);
+
+    std::vector<int> replies(count + 1, 0);
+    std::uint64_t sheds = 0, ran = 0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        const Reply r = readReply(client.fd());
+        ASSERT_GE(r.seq, 1u);
+        ASSERT_LE(r.seq, count);
+        ++replies[r.seq];
+        if (r.status == Status::Shed)
+            ++sheds;
+        else if (r.status == Status::Ok)
+            ++ran;
+    }
+    for (std::uint32_t seq = 1; seq <= count; ++seq)
+        EXPECT_EQ(replies[seq], 1) << "seq " << seq;
+    EXPECT_GE(sheds, count - 2);
+    EXPECT_EQ(sheds + ran, count);
+
+    server.requestDrain();
+    server.serveUntilDrained(false);
+    EXPECT_EQ(server.totals().sheds, sheds);
+    EXPECT_EQ(server.totals().runs, ran);
+}
+
+TEST(MemoServerTest, RunReplyToAClosedClientIsDropped)
+{
+    ServerConfig config;
+    config.table = twoTenantConfig(PartitionPolicy::Partitioned, 0);
+    config.runScale = slowRunScale;
+    MemoServer server(config);
+    ASSERT_TRUE(server.start().ok());
+
+    // The first client hangs up with its Run in flight. Its server-side
+    // fd is closed and the number is free for the next connection.
+    {
+        Client first(server);
+        writeOnce(first.fd(), framed(encodeRequest(runRequest(1, "kmeans"))));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    Client second(server);
+    for (int waited = 0; server.totals().runs == 0 && waited < 5000;
+         ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.totals().runs, 1u);
+
+    // The second client sees its own reply and nothing else.
+    Request lookup = memoRequest(Op::Lookup, 0, 1);
+    lookup.seq = 2;
+    const Reply r = second.call(lookup);
+    EXPECT_EQ(r.seq, 2u);
+    EXPECT_EQ(r.status, Status::Miss);
+    pollfd pending{second.fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pending, 1, 50), 0) << "a stray reply arrived";
 
     server.requestDrain();
     server.serveUntilDrained(false);

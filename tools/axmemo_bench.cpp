@@ -485,7 +485,7 @@ serveEntry(cli::CommonArgs &args)
                     runtime.serveQueue);
         std::fflush(stdout);
         server.serveUntilDrained(true);
-        const serve::ServerTotals &totals = server.totals();
+        const serve::ServerTotals totals = server.totals();
         std::printf("axmemo serve: drained (%llu requests, %llu "
                     "sheds); snapshot %s\n",
                     static_cast<unsigned long long>(totals.requests),
@@ -608,10 +608,11 @@ main(int argc, char **argv)
                   "[--quota <n>] [options]",
                   "Starts the multi-tenant memo server (DESIGN.md "
                   "§14): per-tenant\nLUT_ID partitioning "
-                  "(--policy partitioned|shared, --quota), a\nbounded "
-                  "request queue that sheds under load (--queue), and "
-                  "a\ngraceful SIGTERM drain that writes "
-                  "serve_snapshot.json before\nexiting 0. Drive it "
+                  "(--policy partitioned|shared, --quota), memo\n"
+                  "requests answered as they are read, a bounded queue "
+                  "for Run\nrequests that sheds when full (--queue), "
+                  "and a graceful SIGTERM\ndrain that writes "
+                  "serve_snapshot.json before exiting 0. Drive\nit "
                   "with `axmemo replay`.\n",
                   serveEntry});
     registry.add({"replay", "drive a memo server with a synthetic "

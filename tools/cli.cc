@@ -213,7 +213,7 @@ flagTable()
              a.runtime.serveLutBytes = bytes;
              return true;
          }},
-        {"--queue", "<n>", "serve: bounded request-queue depth",
+        {"--queue", "<n>", "serve: bounded Run-queue depth",
          +[](CommonArgs &a, const char *v, std::string *error) {
              const std::uint64_t depth = std::strtoull(v, nullptr, 10);
              if (depth == 0 || depth > (1u << 20))
