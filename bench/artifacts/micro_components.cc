@@ -2,10 +2,12 @@
  * @file
  * google-benchmark micro-benchmarks of the substrate components: CRC
  * engine throughput (bit-serial vs 8-bit table step), LUT
- * lookup/insert, cache access, sparse simulated memory, and whole
- * simulator instruction throughput. Registered as the "micro" artifact
- * so `axmemo run micro` works; the standalone binary runs the same
- * registered benchmarks through BENCHMARK_MAIN-equivalent plumbing.
+ * lookup/insert, cache access and its MRU way hint, sparse simulated
+ * memory, whole simulator instruction throughput, and the disabled and
+ * enabled costs of the trace and span instrumentation. Registered as
+ * the "micro" artifact so `axmemo run micro` works; the standalone
+ * bench/micro_components binary runs the same registered benchmarks
+ * with the full google-benchmark command line.
  */
 
 #include <sstream>
@@ -14,6 +16,8 @@
 
 #include "bench/artifacts/artifacts.hh"
 #include "common/rng.hh"
+#include "obs/span.hh"
+#include "obs/trace.hh"
 
 namespace {
 
@@ -94,6 +98,58 @@ BM_CacheAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheAccess);
+
+/**
+ * One pass of a 4096-access stream over a 16 KB span (mostly
+ * sequential 8-byte strides, a random jump every ~16 accesses, every
+ * 8th access a write) through a 32 KB cache of @p ways ways: the
+ * steady-state hit path the MRU way hint accelerates.
+ */
+void
+cacheHintStream(benchmark::State &state, bool hinted)
+{
+    const auto ways = static_cast<unsigned>(state.range(0));
+    Cache cache({.name = "bench", .sizeBytes = 32 * 1024, .assoc = ways,
+                 .lineSize = 64, .hitLatency = 1});
+    cache.setMruHintEnabled(hinted);
+    Rng rng(1234);
+    constexpr Addr base = 0x10000;
+    constexpr std::uint64_t span = 16 * 1024;
+    std::vector<Addr> addrs(4096);
+    Addr a = base;
+    for (Addr &addr : addrs) {
+        if (rng.below(16) == 0)
+            a = base + (rng.below(span) & ~Addr{7});
+        addr = a;
+        a = a + 16 > base + span ? base : a + 8;
+    }
+    for (auto _ : state) {
+        std::uint64_t hits = 0;
+        for (std::size_t i = 0; i < addrs.size(); ++i)
+            hits += cache.access(addrs[i], (i & 7) == 7).hit ? 1 : 0;
+        benchmark::DoNotOptimize(hits);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(addrs.size()));
+}
+
+// The hinted/scan pair brackets Cache::kMruScanMinAssoc: at 32 ways the
+// hint probe is live and must beat the way scan; at 8 ways it
+// auto-disables, so both rows run the same code and their ratio guards
+// against the hint re-engaging where the scan wins.
+void
+BM_CacheHinted(benchmark::State &state)
+{
+    cacheHintStream(state, true);
+}
+BENCHMARK(BM_CacheHinted)->ArgName("ways")->Arg(32)->Arg(8);
+
+void
+BM_CacheScan(benchmark::State &state)
+{
+    cacheHintStream(state, false);
+}
+BENCHMARK(BM_CacheScan)->ArgName("ways")->Arg(32)->Arg(8);
 
 void
 BM_SimMemoryRw(benchmark::State &state)
@@ -210,6 +266,137 @@ BM_MemoUnitLookupUpdate(benchmark::State &state)
 }
 BENCHMARK(BM_MemoUnitLookupUpdate);
 
+// ------------------------------------------------ instrumentation cost
+//
+// The disabled-instrumentation budget (<= 0.5%) is the time of a guard
+// row over BM_GuardBaseline: the same dependent-multiply loop with a
+// trace point or a span scope in its body. Under AXMEMO_NO_TRACE both
+// guards compile away and the enabled rows are not registered. Rows
+// that would touch instrumentation the caller has switched on (flags
+// from --debug-flags, a --trace-timeline recording) skip instead of
+// measuring, so `axmemo run` never alters the run's own traces.
+
+constexpr std::uint64_t kGuardOps = 1024;
+
+inline std::uint64_t
+guardMix(std::uint64_t a, std::uint64_t i)
+{
+    return (a ^ i) * 0x100000001b3ull;
+}
+
+void
+BM_GuardBaseline(benchmark::State &state)
+{
+    std::uint64_t a = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < kGuardOps; ++i)
+            a = guardMix(a, i);
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      kGuardOps));
+}
+BENCHMARK(BM_GuardBaseline);
+
+void
+BM_TraceGuardDisabled(benchmark::State &state)
+{
+    if (trace::anyEnabled()) {
+        state.SkipWithError("trace flags are enabled");
+        return;
+    }
+    std::uint64_t a = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < kGuardOps; ++i) {
+            AXM_TRACE(Exec, "micro", "never emitted ", i);
+            a = guardMix(a, i);
+        }
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      kGuardOps));
+}
+BENCHMARK(BM_TraceGuardDisabled);
+
+void
+BM_SpanGuardDisabled(benchmark::State &state)
+{
+    if (telemetry::enabled()) {
+        state.SkipWithError("a span timeline is being recorded");
+        return;
+    }
+    std::uint64_t a = 0x9e3779b97f4a7c15ull;
+    for (auto _ : state) {
+        for (std::uint64_t i = 0; i < kGuardOps; ++i) {
+            AXM_SPAN("micro", "never-recorded");
+            a = guardMix(a, i);
+        }
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      kGuardOps));
+}
+BENCHMARK(BM_SpanGuardDisabled);
+
+#ifndef AXMEMO_NO_TRACE
+
+/** One formatted trace line through the mutex-guarded sink, written to
+ * /dev/null so the row measures formatting and the write call, not a
+ * terminal. */
+void
+BM_TraceLineEnabled(benchmark::State &state)
+{
+    if (trace::anyEnabled()) {
+        state.SkipWithError("trace flags are enabled");
+        return;
+    }
+    if (!trace::openTraceFile("/dev/null")) {
+        state.SkipWithError("cannot open /dev/null");
+        return;
+    }
+    trace::setFlag(trace::Flag::Exec, true);
+    std::uint64_t line = 0;
+    for (auto _ : state) {
+        AXM_TRACE(Exec, "micro", "line ", line, " of the enabled row");
+        ++line;
+    }
+    trace::setFlag(trace::Flag::Exec, false);
+    trace::closeTraceFile();
+}
+BENCHMARK(BM_TraceLineEnabled);
+
+/** One recorded span: open, close and the ring push on the recording
+ * thread. The ring is drained (and the events dropped) with the timer
+ * paused, before it can fill, so the row never measures the
+ * dropped-event path and the process never accumulates events. */
+void
+BM_SpanEnabled(benchmark::State &state)
+{
+    if (telemetry::enabled()) {
+        state.SkipWithError("a span timeline is being recorded");
+        return;
+    }
+    std::vector<telemetry::SpanEvent> drained;
+    telemetry::setEnabled(true);
+    std::uint64_t spans = 0;
+    for (auto _ : state) {
+        {
+            AXM_SPAN("micro", "recorded");
+        }
+        if ((++spans & 0xfff) == 0) {
+            state.PauseTiming();
+            telemetry::detail::drainAll(drained);
+            drained.clear();
+            state.ResumeTiming();
+        }
+    }
+    telemetry::setEnabled(false);
+    telemetry::detail::drainAll(drained);
+}
+BENCHMARK(BM_SpanEnabled);
+
+#endif // AXMEMO_NO_TRACE
+
 } // namespace
 
 namespace axmemo::bench {
@@ -225,7 +412,8 @@ class MicroComponentsArtifact final : public Artifact
     description() const override
     {
         return "google-benchmark micro-benchmarks of the substrate "
-               "components (CRC, LUT, caches, simulator)";
+               "components (CRC, LUT, caches, simulator) and of the "
+               "trace/span instrumentation cost";
     }
 
     void
@@ -243,7 +431,10 @@ class MicroComponentsArtifact final : public Artifact
         benchmark::Initialize(&argc, argv);
 
         std::ostringstream out;
-        benchmark::ConsoleReporter reporter;
+        // Tabular without OO_Color: the report is captured text, so it
+        // must carry no ANSI colour escapes.
+        benchmark::ConsoleReporter reporter(
+            benchmark::ConsoleReporter::OO_Tabular);
         reporter.SetOutputStream(&out);
         reporter.SetErrorStream(&out);
         benchmark::RunSpecifiedBenchmarks(&reporter);

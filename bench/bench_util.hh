@@ -9,7 +9,6 @@
 #ifndef AXMEMO_BENCH_BENCH_UTIL_HH
 #define AXMEMO_BENCH_BENCH_UTIL_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -44,29 +43,6 @@ defaultConfig()
     config.dataset.scale = ExperimentRunner::benchScaleFromEnv();
     config.lut = bestLutConfig();
     return config;
-}
-
-/** Print the standard bench banner. */
-inline void
-banner(const char *what)
-{
-    const double scale = ExperimentRunner::benchScaleFromEnv();
-    std::printf("== %s ==\n", what);
-    std::printf("dataset scale %.4g (AXMEMO_FULL=1 for paper-size "
-                "inputs)\n\n",
-                scale);
-}
-
-/**
- * Standard end-of-harness bookkeeping: write <label>_sweep.json and print
- * the host-side performance line. The summary goes to stderr so the
- * table output on stdout stays byte-identical across worker counts.
- */
-inline void
-finishSweep(const SweepEngine &engine, const char *label)
-{
-    engine.writeReport(label);
-    std::fprintf(stderr, "[%s] %s\n", label, engine.summary().c_str());
 }
 
 } // namespace axmemo::bench

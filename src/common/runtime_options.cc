@@ -1,5 +1,7 @@
 #include "common/runtime_options.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -21,54 +23,69 @@ envOrNull(const char *name)
     return value && *value ? value : nullptr;
 }
 
-/** Parse a positive double; warn and return false on malformed text. */
-bool
-parsePositiveDouble(const char *name, const char *text, double &out)
+/** A parse rule's rejection; the message says what the rule wants. */
+Error
+malformed(std::string want)
 {
-    char *end = nullptr;
-    const double parsed = std::strtod(text, &end);
-    if (end != text && *end == '\0' && parsed > 0.0 &&
-        std::isfinite(parsed)) {
-        out = parsed;
-        return true;
-    }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want a positive number)");
-    return false;
+    return Error{ErrorCode::Config, "knob", std::move(want)};
 }
 
-/** Parse an unsigned integer in [0, max]; warn on malformed text. */
+/** Apply one env knob through its parse rule; warn and keep the
+ * default on malformed text. */
+template <typename T>
 bool
-parseUnsigned(const char *name, const char *text, unsigned long max,
-              unsigned &out)
+envKnob(const char *name, const char *text, const Expected<T> &parsed,
+        T &out)
 {
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(text, &end, 10);
-    if (end != text && *end == '\0' && parsed <= max) {
-        out = static_cast<unsigned>(parsed);
+    if (parsed.ok()) {
+        out = parsed.value();
         return true;
     }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want an integer in [0, ", max, "])");
-    return false;
-}
-
-/** Parse an unsigned 64-bit integer; warn on malformed text. */
-bool
-parseU64(const char *name, const char *text, std::uint64_t &out)
-{
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(text, &end, 10);
-    if (end != text && *end == '\0' && text[0] != '-') {
-        out = parsed;
-        return true;
-    }
-    axm_warn("ignoring malformed ", name, "='", text,
-             "' (want a non-negative integer)");
+    axm_warn("ignoring malformed ", name, "='", text, "' (want ",
+             parsed.error().message, ")");
     return false;
 }
 
 } // namespace
+
+Expected<double>
+parsePositiveDouble(const char *text)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text, &end);
+    if (end != text && *end == '\0' && parsed > 0.0 &&
+        std::isfinite(parsed))
+        return parsed;
+    return malformed("a positive number");
+}
+
+Expected<unsigned>
+parseUnsigned(const char *text, unsigned max)
+{
+    // strtoul would take leading blanks and a sign ("-1" wraps to
+    // ULONG_MAX), so the text must start with a digit.
+    if (std::isdigit(static_cast<unsigned char>(text[0]))) {
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long parsed = std::strtoul(text, &end, 10);
+        if (*end == '\0' && errno == 0 && parsed <= max)
+            return static_cast<unsigned>(parsed);
+    }
+    return malformed("an integer in [0, " + std::to_string(max) + "]");
+}
+
+Expected<std::uint64_t>
+parseU64(const char *text)
+{
+    if (std::isdigit(static_cast<unsigned char>(text[0]))) {
+        char *end = nullptr;
+        errno = 0;
+        const unsigned long long parsed = std::strtoull(text, &end, 10);
+        if (*end == '\0' && errno == 0)
+            return static_cast<std::uint64_t>(parsed);
+    }
+    return malformed("a non-negative integer");
+}
 
 RuntimeOptions
 RuntimeOptions::fromEnv()
@@ -76,7 +93,8 @@ RuntimeOptions::fromEnv()
     RuntimeOptions options;
 
     if (const char *env = envOrNull("AXMEMO_JOBS"))
-        parseUnsigned("AXMEMO_JOBS", env, 1024, options.jobs);
+        envKnob("AXMEMO_JOBS", env, parseUnsigned(env, maxJobs),
+                options.jobs);
 
     // AXMEMO_FULL must be exactly "1" ("10", "1x", ... are mistakes,
     // not requests for full scale) and anything but "", "0", "1" is
@@ -89,8 +107,8 @@ RuntimeOptions::fromEnv()
                      "' (want 0 or 1)");
     }
     if (const char *env = envOrNull("AXMEMO_SCALE"))
-        options.scaleSet =
-            parsePositiveDouble("AXMEMO_SCALE", env, options.scale);
+        options.scaleSet = envKnob("AXMEMO_SCALE", env,
+                                   parsePositiveDouble(env), options.scale);
 
     if (const char *env = envOrNull("AXMEMO_DEBUG"))
         options.debugFlags = env;
@@ -98,10 +116,11 @@ RuntimeOptions::fromEnv()
         options.outDir = env;
 
     if (const char *env = envOrNull("AXMEMO_RETRIES"))
-        parseUnsigned("AXMEMO_RETRIES", env, 64, options.retries);
+        envKnob("AXMEMO_RETRIES", env, parseUnsigned(env, maxRetries),
+                options.retries);
     if (const char *env = envOrNull("AXMEMO_JOB_TIMEOUT"))
-        parsePositiveDouble("AXMEMO_JOB_TIMEOUT", env,
-                            options.jobTimeoutSeconds);
+        envKnob("AXMEMO_JOB_TIMEOUT", env, parsePositiveDouble(env),
+                options.jobTimeoutSeconds);
 
     if (const char *env = std::getenv("AXMEMO_TIMING");
         env && std::strcmp(env, "0") == 0)
@@ -138,7 +157,8 @@ RuntimeOptions::fromEnv()
     if (const char *env = envOrNull("AXMEMO_WORKER_ID"))
         options.workerId = env;
     if (const char *env = envOrNull("AXMEMO_LEASE"))
-        parsePositiveDouble("AXMEMO_LEASE", env, options.leaseSeconds);
+        envKnob("AXMEMO_LEASE", env, parsePositiveDouble(env),
+                options.leaseSeconds);
     if (const char *env = envOrNull("AXMEMO_ISOLATE")) {
         if (std::strcmp(env, "1") == 0)
             options.isolate = true;
@@ -161,27 +181,33 @@ RuntimeOptions::fromEnv()
     }
     if (const char *env = envOrNull("AXMEMO_SERVE_TENANTS")) {
         unsigned tenants = 0;
-        if (parseUnsigned("AXMEMO_SERVE_TENANTS", env, 4096, tenants) &&
+        if (envKnob("AXMEMO_SERVE_TENANTS", env,
+                    parseUnsigned(env, maxServeTenants), tenants) &&
             tenants > 0)
             options.serveTenants = tenants;
     }
     if (const char *env = envOrNull("AXMEMO_SERVE_QUOTA"))
-        parseU64("AXMEMO_SERVE_QUOTA", env, options.serveQuota);
+        envKnob("AXMEMO_SERVE_QUOTA", env, parseU64(env),
+                options.serveQuota);
     if (const char *env = envOrNull("AXMEMO_SERVE_LUT")) {
         std::uint64_t bytes = 0;
-        if (parseU64("AXMEMO_SERVE_LUT", env, bytes) && bytes > 0)
+        if (envKnob("AXMEMO_SERVE_LUT", env, parseU64(env), bytes) &&
+            bytes > 0)
             options.serveLutBytes = bytes;
     }
     if (const char *env = envOrNull("AXMEMO_SERVE_QUEUE")) {
         unsigned depth = 0;
-        if (parseUnsigned("AXMEMO_SERVE_QUEUE", env, 1 << 20, depth) &&
+        if (envKnob("AXMEMO_SERVE_QUEUE", env,
+                    parseUnsigned(env, maxServeQueue), depth) &&
             depth > 0)
             options.serveQueue = depth;
     }
     if (const char *env = envOrNull("AXMEMO_TRACE_SEED"))
-        parseU64("AXMEMO_TRACE_SEED", env, options.traceSeed);
+        envKnob("AXMEMO_TRACE_SEED", env, parseU64(env),
+                options.traceSeed);
     if (const char *env = envOrNull("AXMEMO_TRACE_REQUESTS"))
-        parseU64("AXMEMO_TRACE_REQUESTS", env, options.traceRequests);
+        envKnob("AXMEMO_TRACE_REQUESTS", env, parseU64(env),
+                options.traceRequests);
 
     return options;
 }

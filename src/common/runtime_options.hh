@@ -49,11 +49,33 @@
 #include <cstdint>
 #include <string>
 
+#include "common/expected.hh"
+
 namespace axmemo {
+
+/**
+ * The parse rules of the numeric knobs, shared by fromEnv() and the
+ * driver's flag table so a knob accepts the same text whichever way it
+ * is set. The whole of @p text must parse and lie in range; otherwise
+ * the ErrorCode::Config error's message says what the rule wants ("a
+ * positive number"). fromEnv() warns and keeps the default; a flag
+ * fails the command line.
+ */
+Expected<double> parsePositiveDouble(const char *text);
+/** Decimal digits only (no sign, no blanks), value in [0, @p max]. */
+Expected<unsigned> parseUnsigned(const char *text, unsigned max);
+/** Decimal digits only (no sign, no blanks), no overflow. */
+Expected<std::uint64_t> parseU64(const char *text);
 
 /** Every host-side runtime knob; see file comment. */
 struct RuntimeOptions
 {
+    /** Upper bounds of the bounded integer knobs. */
+    static constexpr unsigned maxJobs = 1024;
+    static constexpr unsigned maxRetries = 64;
+    static constexpr unsigned maxServeTenants = 4096;
+    static constexpr unsigned maxServeQueue = 1u << 20;
+
     /** Sweep worker count; 0 = hardware thread count. */
     unsigned jobs = 0;
     /** Dataset scale when scaleSet (AXMEMO_FULL forces 1.0). */
@@ -135,8 +157,8 @@ struct RuntimeOptions
      */
     static RuntimeOptions global();
 
-    /** Freeze @p options as the process-wide instance (driver startup;
-     * call again to update, e.g. after a scale change in perf mode). */
+    /** Freeze @p options as the process-wide instance (driver
+     * startup; a later call replaces the frozen copy). */
     static void setGlobal(const RuntimeOptions &options);
 
     /** True once setGlobal() has been called. */

@@ -14,8 +14,8 @@
  *
  * Amdahl over the covered fraction gives the estimate. As the paper
  * cautions, DDDG weights ignore superscalar overlap, so the estimate is
- * an upper bound; bench/estimator_validation measures how it tracks the
- * simulated truth.
+ * an upper bound; `axmemo run estimator_validation` measures how it
+ * tracks the simulated truth.
  */
 
 #ifndef AXMEMO_COMPILER_SPEEDUP_ESTIMATOR_HH

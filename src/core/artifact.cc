@@ -15,7 +15,6 @@
 #include "core/run_stats.hh"
 #include "core/shard_queue.hh"
 #include "obs/profiler.hh"
-#include "obs/trace.hh"
 
 namespace axmemo {
 
@@ -23,7 +22,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** The standard bench banner (formerly bench_util.hh's banner()). */
+/** The standard bench banner. */
 void
 printBanner(const std::string &title, const RuntimeOptions &runtime)
 {
@@ -502,33 +501,6 @@ runArtifact(Artifact &artifact, const ArtifactRunOptions &options)
     record.manifestRun =
         manifestRun(artifact, jobs, outcomes, wallSeconds, metrics);
     return record;
-}
-
-int
-artifactStandaloneMain(const std::string &name)
-{
-    setQuiet(true);
-    trace::initFromEnv();
-    // stdout stays byte-identical to the pre-registry harness; the
-    // notice goes to stderr only.
-    std::fprintf(stderr,
-                 "note: the standalone '%s' binary is deprecated; "
-                 "use `axmemo run %s`\n",
-                 name.c_str(), name.c_str());
-    const std::unique_ptr<Artifact> artifact =
-        ArtifactRegistry::instance().make(name);
-    if (!artifact) {
-        std::fprintf(stderr, "unknown artifact '%s'\n", name.c_str());
-        return 1;
-    }
-    const Expected<ArtifactRunRecord> record =
-        runArtifact(*artifact, ArtifactRunOptions{});
-    if (!record.ok()) {
-        std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                     record.error().describe().c_str());
-        return 1;
-    }
-    return record.value().faultedJobs() ? 1 : 0;
 }
 
 void

@@ -4,9 +4,8 @@
  * evaluation is an Artifact — a named unit that enqueues its job matrix
  * on a SweepEngine and reduces the outcomes to a text report plus
  * machine-readable JSON rows. Artifacts self-register at static-init
- * time (AXMEMO_REGISTER_ARTIFACT), so the `axmemo` driver, the legacy
- * one-binary-per-figure harnesses, and the tests all run the exact same
- * code through runArtifact(); per-harness main() functions are one line.
+ * time (AXMEMO_REGISTER_ARTIFACT), so the `axmemo` driver and the
+ * tests run the exact same code through runArtifact().
  *
  * The run pipeline (runArtifact) is:
  *   banner -> enqueue(engine) -> execute -> reduce(outcomes)
@@ -200,12 +199,6 @@ struct ArtifactRunRecord
  */
 Expected<ArtifactRunRecord>
 runArtifact(Artifact &artifact, const ArtifactRunOptions &options = {});
-
-/** Whole main() of a legacy standalone harness binary: quiet logging,
- * env-resolved output directory, stdout identical to the pre-registry
- * harness (a one-line deprecation notice goes to stderr only).
- * @return process exit code; nonzero when any job faulted. */
-int artifactStandaloneMain(const std::string &name);
 
 /** printf-append to a std::string (report-text building helper). */
 #if defined(__GNUC__) || defined(__clang__)

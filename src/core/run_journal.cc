@@ -21,7 +21,7 @@ namespace {
 // no locale or allocation) — repeated fixed-shape records as arrays to
 // keep lines short. A journal line can carry tens of thousands of
 // numbers (outputs + error CDF), so the encoder appends in place; it is
-// a measurable slice of sweep wall time (`axmemo perf`).
+// a measurable slice of sweep wall time (perfbench's core.journal_s).
 // ---------------------------------------------------------------------
 
 void

@@ -6,7 +6,7 @@
  * input set (disjoint from the evaluation set) and picks the largest level
  * whose output error stays within the bound — 0.1% in the paper, 1% for
  * image outputs. Workloads ship Table 2's levels as defaults; the tuner
- * regenerates them (bench/table2) and is the hook for users memoizing
+ * regenerates them (`axmemo run table2`) and is the hook for users memoizing
  * their own kernels.
  */
 

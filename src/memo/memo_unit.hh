@@ -72,7 +72,7 @@ struct AdaptiveTruncationConfig
  * L2 LUT content policy. The paper describes the L2 LUT as "inclusive"
  * (Section 3) yet also says L1 victims are "evicted to L2 LUT"
  * (Section 3.4) — the two readings differ in capacity utilization, so
- * both are implemented and compared by bench/ablate_lut_geometry:
+ * both are implemented and compared by `axmemo run ablate_l2_policy`:
  *  - Inclusive: updates fill both levels; L1 victims are dropped (their
  *    data persists in L2); L2 victims back-invalidate L1.
  *  - Victim (exclusive): updates fill L1 only; L1 victims spill into

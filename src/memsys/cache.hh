@@ -65,7 +65,8 @@ class Cache
   public:
     /**
      * Associativity at or above which access() probes the MRU hint
-     * before scanning. Measured crossover on the perf harness stream:
+     * before scanning. Measured crossover on the address stream the
+     * micro suite's BM_CacheHinted/BM_CacheScan rows replay:
      * at 8 ways the plain scan wins (~0.92x hinted/scan), at 16 ways
      * the hint starts paying (~1.04x) and the gap widens with ways
      * (~1.3x at 32, ~2x at 64).

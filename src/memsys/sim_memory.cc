@@ -7,8 +7,7 @@ namespace axmemo {
 SimMemory::SimMemory(SimMemory &&other) noexcept
     : pages_(std::move(other.pages_)), xlat_(other.xlat_),
       cowEpoch_(other.cowEpoch_.load(std::memory_order_relaxed)),
-      allocNext_(other.allocNext_), cowFaults_(other.cowFaults_),
-      xlatEnabled_(other.xlatEnabled_)
+      allocNext_(other.allocNext_), cowFaults_(other.cowFaults_)
 {
     // The moved-from map is empty; its cached translations would point
     // at pages it no longer tracks.
@@ -26,7 +25,6 @@ SimMemory::operator=(SimMemory &&other) noexcept
                     std::memory_order_relaxed);
     allocNext_ = other.allocNext_;
     cowFaults_ = other.cowFaults_;
-    xlatEnabled_ = other.xlatEnabled_;
     other.flushXlat();
     return *this;
 }
@@ -41,31 +39,25 @@ SimMemory::flushXlat() const
 const std::uint8_t *
 SimMemory::readPage(std::uint64_t pageNum) const
 {
-    if (xlatEnabled_) {
-        const XlatEntry &entry = slotFor(pageNum);
-        if (entry.pageNum == pageNum)
-            return entry.data;
-    }
+    const XlatEntry &entry = slotFor(pageNum);
+    if (entry.pageNum == pageNum)
+        return entry.data;
     const auto it = pages_.find(pageNum);
     if (it == pages_.end())
         return nullptr; // unmapped reads are not cached: a later write
                         // materializes the page behind our back
     std::uint8_t *data = it->second->data();
-    if (xlatEnabled_)
-        slotFor(pageNum) = {pageNum, data, /*writable=*/false, 0};
+    slotFor(pageNum) = {pageNum, data, /*writable=*/false, 0};
     return data;
 }
 
 std::uint8_t *
 SimMemory::writePage(std::uint64_t pageNum)
 {
-    if (xlatEnabled_) {
-        const XlatEntry &entry = slotFor(pageNum);
-        if (entry.pageNum == pageNum && entry.writable &&
-            entry.writeEpoch ==
-                cowEpoch_.load(std::memory_order_relaxed))
-            return entry.data;
-    }
+    const XlatEntry &entry = slotFor(pageNum);
+    if (entry.pageNum == pageNum && entry.writable &&
+        entry.writeEpoch == cowEpoch_.load(std::memory_order_relaxed))
+        return entry.data;
     auto [it, inserted] = pages_.try_emplace(pageNum);
     if (inserted) {
         it->second = std::make_shared<Page>();
@@ -77,9 +69,8 @@ SimMemory::writePage(std::uint64_t pageNum)
         ++cowFaults_;
     }
     std::uint8_t *data = it->second->data();
-    if (xlatEnabled_)
-        slotFor(pageNum) = {pageNum, data, /*writable=*/true,
-                            cowEpoch_.load(std::memory_order_relaxed)};
+    slotFor(pageNum) = {pageNum, data, /*writable=*/true,
+                        cowEpoch_.load(std::memory_order_relaxed)};
     return data;
 }
 
@@ -196,7 +187,6 @@ SimMemory::clone() const
     cowEpoch_.fetch_add(1, std::memory_order_relaxed);
     SimMemory copy;
     copy.allocNext_ = allocNext_;
-    copy.xlatEnabled_ = xlatEnabled_;
     copy.pages_ = pages_; // shared_ptr copies: O(pages), no byte copies
     return copy;
 }
@@ -207,13 +197,6 @@ SimMemory::clear()
     pages_.clear();
     flushXlat();
     allocNext_ = 0x10000;
-}
-
-void
-SimMemory::setTranslationCacheEnabled(bool enabled)
-{
-    xlatEnabled_ = enabled;
-    flushXlat();
 }
 
 } // namespace axmemo

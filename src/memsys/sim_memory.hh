@@ -70,8 +70,7 @@ class SimMemory
     read(Addr addr, unsigned nbytes) const
     {
         const std::size_t offset = addr & (pageSize - 1);
-        if (xlatEnabled_ && nbytes - 1 < 8u &&
-            offset + nbytes <= pageSize) {
+        if (nbytes - 1 < 8u && offset + nbytes <= pageSize) {
             const std::uint64_t pageNum = addr >> pageShift;
             const XlatEntry &entry = slotFor(pageNum);
             if (entry.pageNum == pageNum)
@@ -86,8 +85,7 @@ class SimMemory
     write(Addr addr, std::uint64_t value, unsigned nbytes)
     {
         const std::size_t offset = addr & (pageSize - 1);
-        if (xlatEnabled_ && nbytes - 1 < 8u &&
-            offset + nbytes <= pageSize) {
+        if (nbytes - 1 < 8u && offset + nbytes <= pageSize) {
             const std::uint64_t pageNum = addr >> pageShift;
             const XlatEntry &entry = slotFor(pageNum);
             if (entry.pageNum == pageNum && entry.writable &&
@@ -154,12 +152,6 @@ class SimMemory
 
     /** Drop all contents and reset the allocator. */
     void clear();
-
-    /**
-     * Disable/enable the page-translation cache (perf harness and the
-     * equivalence tests; functional behaviour is identical either way).
-     */
-    void setTranslationCacheEnabled(bool enabled);
 
     /** Pages physically copied by write faults since construction. */
     std::uint64_t cowFaults() const { return cowFaults_; }
@@ -244,7 +236,6 @@ class SimMemory
     mutable std::atomic<std::uint64_t> cowEpoch_{0};
     Addr allocNext_ = 0x10000; // keep address 0 unmapped to catch bugs
     std::uint64_t cowFaults_ = 0;
-    bool xlatEnabled_ = true;
 };
 
 } // namespace axmemo

@@ -33,14 +33,6 @@ state()
     return s;
 }
 
-std::string
-secondsStr(double s)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.6f", s);
-    return buf;
-}
-
 } // namespace
 
 Profiler &
@@ -155,39 +147,6 @@ Profiler::renderText() const
     }
     if (byPhase.empty())
         out += "(no phases recorded)\n";
-    return out;
-}
-
-std::string
-Profiler::renderJson() const
-{
-    const std::vector<PhaseTiming> byPhase = snapshotByPhase();
-    const std::vector<PhaseTiming> all = snapshot();
-    std::string out = "{";
-    bool firstPhase = true;
-    for (const PhaseTiming &p : byPhase) {
-        if (!firstPhase)
-            out += ',';
-        firstPhase = false;
-        out += '"' + p.phase + "\":{\"calls\":" +
-               std::to_string(p.calls) +
-               ",\"seconds\":" + secondsStr(p.seconds);
-        std::string threads;
-        bool firstThread = true;
-        for (const PhaseTiming &cell : all) {
-            if (cell.phase != p.phase || cell.thread.empty())
-                continue;
-            if (!firstThread)
-                threads += ',';
-            firstThread = false;
-            threads += '"' + cell.thread +
-                       "\":" + secondsStr(cell.seconds);
-        }
-        if (!threads.empty())
-            out += ",\"threads\":{" + threads + '}';
-        out += '}';
-    }
-    out += '}';
     return out;
 }
 

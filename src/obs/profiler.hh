@@ -4,14 +4,13 @@
  *
  * `AXM_PROF("sweep.prepare")` opens a RAII scope whose wall-clock time
  * is added to the process-wide Profiler under the key
- * (phase, thread label). The driver reads the aggregate to embed phase
- * timings in manifest.json and to serve `axmemo profile`; the perf
- * harness uses the same timers for its per-section wall-clock. Timers
- * are always on — one steady_clock read per scope boundary plus a
- * mutex-guarded map update at close, which is noise next to the phases
- * they bracket (whole sweeps, artifact stages) — so profile data is
- * available without any flag. The Prof debug flag additionally emits
- * begin/end trace lines for phase-ordering questions.
+ * (phase, thread label). The driver reads the aggregate to serve
+ * `axmemo profile`. Timers are always on — one steady_clock read per
+ * scope boundary plus a mutex-guarded map update at close, which is
+ * noise next to the phases they bracket (whole sweeps, artifact
+ * stages) — so profile data is available without any flag. The Prof
+ * debug flag additionally emits begin/end trace lines for
+ * phase-ordering questions.
  */
 
 #ifndef AXMEMO_OBS_PROFILER_HH
@@ -62,10 +61,6 @@ class Profiler
     /** Human-readable table (phase, calls, total, share of the longest
      * phase) — the `axmemo profile` report body. */
     std::string renderText() const;
-
-    /** JSON object {phase: {"calls": n, "seconds": s, "threads":
-     * {label: s}}} for manifest.json / BENCH_perf.json embedding. */
-    std::string renderJson() const;
 
   private:
     Profiler() = default;

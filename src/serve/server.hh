@@ -55,7 +55,7 @@ namespace serve {
 struct ServerConfig
 {
     /** AF_UNIX socket path; empty = no listening socket (clients
-     * attach via attachClient(), as the tests and perf harness do). */
+     * attach via attachClient(), as the tests and perfbench do). */
     std::string socketPath;
     TenantTableConfig table{};
     /** Bounded depth of the Run queue; a full queue sheds. Memo

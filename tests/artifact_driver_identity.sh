@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Golden cross-check for the artifact refactor: the unified driver's
-# `axmemo run fig9` stdout must be byte-identical to the legacy
-# fig9_hitrate harness, serial and parallel. Any drift in banner,
-# table layout or number formatting fails the diff.
+# Golden check of the artifact driver: `axmemo run fig9` and `axmemo
+# run atm_comparison` stdout at AXMEMO_SCALE=0.02 must be byte-identical
+# to the checked-in goldens (tests/golden/*_scale0.02.out, recorded from
+# the per-figure harness binaries the driver replaced), serial and
+# parallel. Any drift in banner, table layout or number formatting fails
+# the diff. Also checks that a malformed numeric flag is a usage error.
+#
+# usage: artifact_driver_identity.sh <axmemo>
 set -eu
 
 driver="$1"
-legacy="$2"
-legacy_atm="${3:-}"
+golden="$(cd "$(dirname "$0")" && pwd)/golden"
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -16,39 +19,36 @@ cd "$workdir"
 export AXMEMO_SCALE=0.02
 unset AXMEMO_FULL 2>/dev/null || true
 
-for jobs in 1 4; do
-    export AXMEMO_JOBS=$jobs
-    "$legacy" >legacy.$jobs.out 2>/dev/null
-    "$driver" run fig9 --out "$workdir" >driver.$jobs.out 2>/dev/null
-    if ! cmp -s legacy.$jobs.out driver.$jobs.out; then
-        echo "driver and legacy stdout differ at AXMEMO_JOBS=$jobs:" >&2
-        diff legacy.$jobs.out driver.$jobs.out >&2 || true
-        exit 1
-    fi
+for artifact in fig9 atm_comparison; do
+    expected="$golden/${artifact}_scale0.02.out"
+    for jobs in 1 4; do
+        out="$workdir/$artifact.$jobs"
+        AXMEMO_JOBS=$jobs "$driver" run "$artifact" --out "$out" \
+            >"$out.stdout" 2>/dev/null
+        if ! cmp -s "$expected" "$out.stdout"; then
+            echo "$artifact stdout differs from its golden at" \
+                 "AXMEMO_JOBS=$jobs:" >&2
+            diff "$expected" "$out.stdout" >&2 || true
+            exit 1
+        fi
+        # The driver must also have produced its sidecar files.
+        test -s "$out/${artifact}_sweep.json"
+        test -s "$out/$artifact.json"
+        test -s "$out/manifest.json"
+    done
+    echo "$artifact stdout matches its golden (serial and parallel)"
 done
 
-# Serial and parallel runs of the same artifact must match too.
-cmp legacy.1.out legacy.4.out
-cmp driver.1.out driver.4.out
-
-# The driver must also have produced its sidecar files.
-test -s "$workdir/fig9_sweep.json"
-test -s "$workdir/fig9.json"
-test -s "$workdir/manifest.json"
-
-echo "fig9 driver/legacy stdout identical (serial and parallel)"
-
-# Same cross-check for atm_comparison, which dispatches through the
-# MemoBackend registry: the registry seam must not move a byte.
-if [ -n "$legacy_atm" ]; then
-    export AXMEMO_JOBS=1
-    "$legacy_atm" >legacy_atm.out 2>/dev/null
-    "$driver" run atm_comparison --out "$workdir" >driver_atm.out \
-        2>/dev/null
-    if ! cmp -s legacy_atm.out driver_atm.out; then
-        echo "driver and legacy atm_comparison stdout differ:" >&2
-        diff legacy_atm.out driver_atm.out >&2 || true
-        exit 1
-    fi
-    echo "atm_comparison driver/legacy stdout identical"
+# A numeric flag takes its env twin's parse rule, but a malformed value
+# is a usage error (exit 2 naming the flag), not a silent wrap: -1
+# retries used to become 4294967295.
+set +e
+"$driver" run fig9 --retries -1 >/dev/null 2>"$workdir/retries.err"
+code=$?
+set -e
+if [ "$code" -ne 2 ] || ! grep -q -- "--retries" "$workdir/retries.err"; then
+    echo "--retries -1 exited $code, want 2 naming the flag:" >&2
+    cat "$workdir/retries.err" >&2
+    exit 1
 fi
+echo "--retries -1 rejected with exit 2"

@@ -3,8 +3,8 @@
  * The artifact registry (core/artifact.hh): registration inventory,
  * listing order, and the refactor's core promise — an artifact's
  * report text is byte-identical whether its sweep runs serially or in
- * parallel, and across repeated runs. The full stdout byte-identity
- * between `axmemo run fig9` and the legacy fig9_hitrate binary is
+ * parallel, and across repeated runs. Full stdout byte-identity of
+ * `axmemo run fig9` and `atm_comparison` against checked-in goldens is
  * covered by the artifact_driver_identity ctest in
  * tests/CMakeLists.txt.
  */

@@ -475,7 +475,7 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     const char *const knobs[] = {
         "AXMEMO_JOBS",        "AXMEMO_SCALE",  "AXMEMO_FULL",
         "AXMEMO_RETRIES",     "AXMEMO_TIMING", "AXMEMO_JOB_TIMEOUT",
-        "AXMEMO_FAULT_INJECT"};
+        "AXMEMO_FAULT_INJECT", "AXMEMO_LEASE"};
     std::vector<std::string> saved; // empty == was unset (or empty)
     for (const char *knob : knobs) {
         const char *value = std::getenv(knob);
@@ -523,6 +523,22 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     EXPECT_EQ(defensive.retries, 1u);
     EXPECT_EQ(defensive.jobTimeoutSeconds, 0.0);
     EXPECT_EQ(defensive.jobs, 0u);
+
+    // The values the driver's flags reject with exit 2 warn here too.
+    setenv("AXMEMO_RETRIES", "-1", 1);
+    setenv("AXMEMO_SCALE", "abc", 1);
+    setenv("AXMEMO_LEASE", "0", 1);
+    testing::internal::CaptureStderr();
+    const RuntimeOptions rejected = RuntimeOptions::fromEnv();
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warnings.find("AXMEMO_RETRIES='-1' (want an integer in "
+                            "[0, 64])"),
+              std::string::npos)
+        << warnings;
+    EXPECT_NE(warnings.find("AXMEMO_LEASE='0'"), std::string::npos);
+    EXPECT_EQ(rejected.retries, 1u);
+    EXPECT_FALSE(rejected.scaleSet);
+    EXPECT_DOUBLE_EQ(rejected.leaseSeconds, 30.0);
 
     for (std::size_t i = 0; i < saved.size(); ++i) {
         if (saved[i].empty())
@@ -580,6 +596,40 @@ TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
         else
             setenv(knobs[i], saved[i].c_str(), 1);
     }
+}
+
+TEST(KnobParsers, PositiveDoubleWantsAFinitePositiveNumber)
+{
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("0.02").value(), 0.02);
+    EXPECT_DOUBLE_EQ(parsePositiveDouble("30").value(), 30.0);
+    for (const char *bad : {"", "abc", "0", "-4", "0.5x", "inf", "nan"})
+        EXPECT_FALSE(parsePositiveDouble(bad).ok()) << bad;
+    EXPECT_EQ(parsePositiveDouble("abc").error().message,
+              "a positive number");
+}
+
+TEST(KnobParsers, UnsignedWantsDigitsWithinTheBound)
+{
+    EXPECT_EQ(parseUnsigned("0", 64).value(), 0u);
+    EXPECT_EQ(parseUnsigned("64", 64).value(), 64u);
+    // "-1" must not wrap to 4294967295, and strtoul's leading blanks
+    // and sign are not part of the rule.
+    for (const char *bad :
+         {"", "-1", "65", "3x", " 3", "+3", "lots", "99999999999999999999"})
+        EXPECT_FALSE(parseUnsigned(bad, 64).ok()) << bad;
+    EXPECT_EQ(parseUnsigned("-1", 64).error().message,
+              "an integer in [0, 64]");
+}
+
+TEST(KnobParsers, U64WantsDigitsWithoutOverflow)
+{
+    EXPECT_EQ(parseU64("0").value(), 0u);
+    EXPECT_EQ(parseU64("18446744073709551615").value(),
+              ~std::uint64_t{0});
+    for (const char *bad :
+         {"", "-1", " -1", "+7", "7 ", "0x10", "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad).ok()) << bad;
+    EXPECT_EQ(parseU64("-1").error().message, "a non-negative integer");
 }
 
 TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)

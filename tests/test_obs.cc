@@ -466,8 +466,6 @@ TEST(Profiler, AggregatesScopedPhases)
 
     EXPECT_NE(prof.renderText().find("obs.test.alpha"),
               std::string::npos);
-    EXPECT_NE(prof.renderJson().find("\"obs.test.beta\""),
-              std::string::npos);
 
     prof.reset();
     EXPECT_TRUE(prof.snapshot().empty());

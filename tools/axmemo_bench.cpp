@@ -14,8 +14,6 @@
  *                                      table
  *   axmemo merge fig9 --shard-dir <d>  reduce a sharded sweep
  *   axmemo status <dir>                one-screen fleet view
- *   axmemo perf [--quick]              data-path microbenchmarks ->
- *                                      BENCH_perf.json
  *   axmemo serve                       long-lived memo server on an
  *                                      AF_UNIX socket (DESIGN.md §14)
  *   axmemo replay                      drive a server with a synthetic
@@ -64,7 +62,6 @@
 #include "serve/replay.hh"
 #include "serve/server.hh"
 #include "tools/cli.hh"
-#include "tools/perf.hh"
 #include "workloads/request_trace.hh"
 
 namespace {
@@ -112,10 +109,6 @@ listEntry(cli::CommonArgs &)
 int
 artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
 {
-    if (args.quick || args.check) {
-        std::fprintf(stderr, "--quick/--check only apply to perf\n");
-        return 2;
-    }
     RuntimeOptions runtime = args.runtime;
     std::vector<std::string> names = args.positional;
     const bool json = args.json;
@@ -424,21 +417,6 @@ statusEntry(cli::CommonArgs &args)
     }
 }
 
-int
-perfEntry(cli::CommonArgs &args)
-{
-    if (!args.positional.empty()) {
-        std::fprintf(stderr, "perf takes no positional arguments\n");
-        return 2;
-    }
-    PerfOptions options;
-    options.quick = args.quick;
-    options.check = args.check;
-    options.outDir = args.runtime.outDir;
-    options.scale = args.scale;
-    return runPerf(options);
-}
-
 /** Resolved serve/replay socket path: the knob, or <out>/axmemo.sock. */
 std::string
 serveSocketPath(const RuntimeOptions &runtime)
@@ -594,14 +572,6 @@ main(int argc, char **argv)
                   "stalled ETA when throughput has decayed to zero), "
                   "and a\nslowest-claim watchlist.\n",
                   statusEntry});
-    registry.add({"perf", "data-path microbenchmarks -> "
-                          "BENCH_perf.json",
-                  "[--quick] [--check] [options]",
-                  "Runs the microbenchmark suite plus an end-to-end "
-                  "fig7 run and a\nserve-loop throughput probe, "
-                  "appending one row per section to\nBENCH_perf.json. "
-                  "--check verifies required sections exist.\n",
-                  perfEntry});
     registry.add({"serve", "long-lived memo server on an AF_UNIX "
                            "socket",
                   "[--socket <p>] [--policy <p>] [--tenants <n>] "

@@ -1,7 +1,6 @@
 #include "tools/cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -23,6 +22,33 @@ fail(std::string *error, std::string message)
     return false;
 }
 
+/** Store @p parsed in @p out, or fail naming @p flag, the knob's parse
+ * rule and the rejected @p value. */
+template <typename T>
+bool
+take(const Expected<T> &parsed, T &out, const char *flag,
+     const char *value, std::string *error)
+{
+    if (!parsed.ok())
+        return fail(error, std::string(flag) + " wants " +
+                               parsed.error().message + " (got '" +
+                               value + "')");
+    out = parsed.value();
+    return true;
+}
+
+/** take() for a knob whose rule also excludes 0. */
+template <typename T>
+bool
+takePositive(const Expected<T> &parsed, T &out, const char *flag,
+             const char *value, std::string *error)
+{
+    if (parsed.ok() && parsed.value() == 0)
+        return fail(error, std::string(flag) + " wants at least 1 (got '" +
+                               value + "')");
+    return take(parsed, out, flag, value, error);
+}
+
 } // namespace
 
 const std::vector<FlagSpec> &
@@ -32,27 +58,22 @@ flagTable()
     // knob-backed ones in detail, so help lines here stay short.
     static const std::vector<FlagSpec> table = {
         {"--scale", "<f>", "dataset scale factor",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.scale = std::atof(v);
-             a.runtime.scale = a.scale;
-             a.runtime.scaleSet = a.scale > 0.0;
-             // Keep the environment in sync for child-style consumers
-             // (perf re-reads it when it changes the scale mid-run).
-             setenv("AXMEMO_SCALE", v, 1);
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             if (!take(parsePositiveDouble(v), a.runtime.scale,
+                       "--scale", v, error))
+                 return false;
+             a.runtime.scaleSet = true;
              return true;
          }},
         {"--full", nullptr, "paper-size inputs (scale 1.0)",
          +[](CommonArgs &a, const char *, std::string *) {
              a.runtime.full = true;
-             setenv("AXMEMO_FULL", "1", 1);
              return true;
          }},
         {"--jobs", "<n>", "sweep worker count",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.jobs = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             setenv("AXMEMO_JOBS", v, 1);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseUnsigned(v, RuntimeOptions::maxJobs),
+                         a.runtime.jobs, "--jobs", v, error);
          }},
         {"--out", "<dir>", "output directory for emitted files",
          +[](CommonArgs &a, const char *v, std::string *) {
@@ -70,15 +91,15 @@ flagTable()
              return true;
          }},
         {"--retries", "<n>", "per-job retries after a failure",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.retries = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseUnsigned(v, RuntimeOptions::maxRetries),
+                         a.runtime.retries, "--retries", v, error);
          }},
         {"--job-timeout", "<s>", "per-job watchdog seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.jobTimeoutSeconds = std::atof(v);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parsePositiveDouble(v),
+                         a.runtime.jobTimeoutSeconds, "--job-timeout", v,
+                         error);
          }},
         {"--no-timing", nullptr,
          "zero host-timing fields (byte-comparable reports)",
@@ -129,30 +150,19 @@ flagTable()
              return true;
          }},
         {"--lease", "<s>", "shard claim lease window seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.leaseSeconds = std::atof(v);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parsePositiveDouble(v), a.runtime.leaseSeconds,
+                         "--lease", v, error);
          }},
         {"--workers", "<n>", "fork <n> local shard workers, then merge",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.fanout = static_cast<unsigned>(
-                 std::strtoul(v, nullptr, 10));
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseUnsigned(v, RuntimeOptions::maxJobs),
+                         a.fanout, "--workers", v, error);
          }},
         {"--watch", "<s>", "status: re-render every <s> seconds",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.watchSeconds = std::atof(v);
-             return true;
-         }},
-        {"--quick", nullptr, "perf: CI-smoke sized iteration counts",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.quick = true;
-             return true;
-         }},
-        {"--check", nullptr, "perf: verify BENCH_perf.json coverage",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.check = true;
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parsePositiveDouble(v), a.watchSeconds,
+                         "--watch", v, error);
          }},
         {"--debug-flags", "<spec>",
          "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof,Host|All",
@@ -191,48 +201,35 @@ flagTable()
          }},
         {"--tenants", "<n>", "serve: tenants to provision",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const unsigned long n = std::strtoul(v, nullptr, 10);
-             if (n == 0 || n > 4096)
-                 return fail(error,
-                             std::string("--tenants wants 1..4096 "
-                                         "(got '") +
-                                 v + "')");
-             a.runtime.serveTenants = static_cast<unsigned>(n);
-             return true;
+             return takePositive(
+                 parseUnsigned(v, RuntimeOptions::maxServeTenants),
+                 a.runtime.serveTenants, "--tenants", v, error);
          }},
         {"--quota", "<n>", "serve: per-tenant LUT entry quota (0 = off)",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.serveQuota = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseU64(v), a.runtime.serveQuota, "--quota", v,
+                         error);
          }},
         {"--lut-bytes", "<n>", "serve: physical LUT size in bytes",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const std::uint64_t bytes = std::strtoull(v, nullptr, 10);
-             if (bytes == 0)
-                 return fail(error, "--lut-bytes wants a positive size");
-             a.runtime.serveLutBytes = bytes;
-             return true;
+             return takePositive(parseU64(v), a.runtime.serveLutBytes,
+                                 "--lut-bytes", v, error);
          }},
         {"--queue", "<n>", "serve: bounded Run-queue depth",
          +[](CommonArgs &a, const char *v, std::string *error) {
-             const std::uint64_t depth = std::strtoull(v, nullptr, 10);
-             if (depth == 0 || depth > (1u << 20))
-                 return fail(error,
-                             std::string("--queue wants 1..1048576 "
-                                         "(got '") +
-                                 v + "')");
-             a.runtime.serveQueue = static_cast<unsigned>(depth);
-             return true;
+             return takePositive(
+                 parseUnsigned(v, RuntimeOptions::maxServeQueue),
+                 a.runtime.serveQueue, "--queue", v, error);
          }},
         {"--seed", "<n>", "replay: request-trace generator seed",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.traceSeed = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseU64(v), a.runtime.traceSeed, "--seed", v,
+                         error);
          }},
         {"--requests", "<n>", "replay: requests to generate (0 = default)",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.traceRequests = std::strtoull(v, nullptr, 10);
-             return true;
+         +[](CommonArgs &a, const char *v, std::string *error) {
+             return take(parseU64(v), a.runtime.traceRequests,
+                         "--requests", v, error);
          }},
         {"--drain", nullptr, "replay: send a Drain after the trace",
          +[](CommonArgs &a, const char *, std::string *) {

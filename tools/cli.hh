@@ -49,14 +49,10 @@ struct CommonArgs
     // Driver-local flags that are not RuntimeOptions knobs.
     std::string traceOut; ///< --trace-out
     bool json = false;    ///< --json
-    bool quick = false;   ///< --quick (perf)
-    bool check = false;   ///< --check (perf)
     bool resume = false;  ///< --resume (run/profile)
     bool drain = false;   ///< --drain (replay)
     double watchSeconds = 0.0; ///< --watch (status)
     unsigned fanout = 0;       ///< --workers (run)
-    /** Raw --scale value (perf re-derives scale sweeps from it). */
-    double scale = 0.0;
 };
 
 /** One command-line option. */
