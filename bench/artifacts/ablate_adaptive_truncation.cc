@@ -45,11 +45,11 @@ class AblateAdaptiveTruncationArtifact final : public Artifact
     enqueue(SweepEngine &engine) override
     {
         for (const char *name : kSubset) {
-            engine.enqueueCompare(name, Mode::AxMemo, defaultConfig());
+            engine.enqueueCompare(name, "axmemo", defaultConfig());
 
             ExperimentConfig shallow = defaultConfig();
             shallow.truncOverride = 2; // almost no approximation
-            engine.enqueueCompare(name, Mode::AxMemo, shallow);
+            engine.enqueueCompare(name, "axmemo", shallow);
 
             ExperimentConfig adaptive = shallow;
             adaptive.adaptive.enabled = true;
@@ -57,7 +57,7 @@ class AblateAdaptiveTruncationArtifact final : public Artifact
             adaptive.adaptive.profileLength = 30;
             adaptive.adaptive.targetError = 0.01;
             adaptive.adaptive.maxExtraBits = 14;
-            engine.enqueueCompare(name, Mode::AxMemo, adaptive);
+            engine.enqueueCompare(name, "axmemo", adaptive);
         }
     }
 

@@ -43,7 +43,7 @@ class AblateCrcWidthArtifact final : public Artifact
                 // Disable the kill switch so collision damage is
                 // visible.
                 config.qualityMonitor = false;
-                engine.enqueueCompare(name, Mode::AxMemo, config);
+                engine.enqueueCompare(name, "axmemo", config);
             }
         }
     }

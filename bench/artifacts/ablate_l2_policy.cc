@@ -40,11 +40,11 @@ class AblateL2PolicyArtifact final : public Artifact
                 ExperimentConfig inclusive = defaultConfig();
                 inclusive.lut = {8 * 1024, l2};
                 inclusive.l2Policy = L2LutPolicy::Inclusive;
-                engine.enqueueCompare(name, Mode::AxMemo, inclusive);
+                engine.enqueueCompare(name, "axmemo", inclusive);
 
                 ExperimentConfig victim = inclusive;
                 victim.l2Policy = L2LutPolicy::Victim;
-                engine.enqueueCompare(name, Mode::AxMemo, victim);
+                engine.enqueueCompare(name, "axmemo", victim);
             }
         }
     }

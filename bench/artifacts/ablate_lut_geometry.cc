@@ -41,11 +41,11 @@ class AblateLutGeometryArtifact final : public Artifact
             for (std::uint64_t size : kSizes) {
                 ExperimentConfig l1Only = defaultConfig();
                 l1Only.lut = {size, 0};
-                engine.enqueueCompare(name, Mode::AxMemo, l1Only);
+                engine.enqueueCompare(name, "axmemo", l1Only);
 
                 ExperimentConfig twoLevel = defaultConfig();
                 twoLevel.lut = {size, 512 * 1024};
-                engine.enqueueCompare(name, Mode::AxMemo, twoLevel);
+                engine.enqueueCompare(name, "axmemo", twoLevel);
             }
         }
     }

@@ -37,12 +37,12 @@ class AblateOooCoreArtifact final : public Artifact
         // each benchmark gets a matching in-order and out-of-order
         // baseline.
         for (const std::string &name : workloadNames()) {
-            engine.enqueueCompare(name, Mode::AxMemo, defaultConfig());
+            engine.enqueueCompare(name, "axmemo", defaultConfig());
 
             ExperimentConfig oooCfg = defaultConfig();
             oooCfg.cpu.outOfOrder = true;
             oooCfg.cpu.robSize = 64;
-            engine.enqueueCompare(name, Mode::AxMemo, oooCfg);
+            engine.enqueueCompare(name, "axmemo", oooCfg);
         }
     }
 

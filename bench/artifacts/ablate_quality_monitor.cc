@@ -55,7 +55,7 @@ class AblateQualityMonitorArtifact final : public Artifact
                 ExperimentConfig config = defaultConfig();
                 config.truncOverride = s.trunc;
                 config.qualityMonitor = s.monitor;
-                engine.enqueueCompare(name, Mode::AxMemo, config);
+                engine.enqueueCompare(name, "axmemo", config);
             }
         }
     }

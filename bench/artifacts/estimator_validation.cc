@@ -51,7 +51,7 @@ class EstimatorValidationArtifact final : public Artifact
                 SimMemory mem;
                 WorkloadParams params;
                 params.scale = std::min(
-                    0.02, ExperimentRunner::benchScaleFromEnv());
+                    0.02, RuntimeOptions::global().benchScale());
                 params.sampleSet = true;
                 workload->prepare(mem, params);
                 const Program prog = workload->build();
@@ -69,7 +69,7 @@ class EstimatorValidationArtifact final : public Artifact
                 ExperimentConfig config = defaultConfig();
                 config.dataset = params;
                 const RunResult run = ExperimentRunner(config).run(
-                    *workload, Mode::AxMemo);
+                    *workload, "axmemo");
                 // The profiled reuse *ratio* (misses per lookup)
                 // transfers to each subgraph's instance count.
                 const double missRatio =
@@ -93,7 +93,7 @@ class EstimatorValidationArtifact final : public Artifact
                 coverages_[i] = analysis.coverage;
 
                 comparisons_[i] = ExperimentRunner(config).compare(
-                    *workload, Mode::AxMemo);
+                    *workload, "axmemo");
             });
     }
 

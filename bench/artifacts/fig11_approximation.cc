@@ -31,8 +31,8 @@ class Fig11Artifact final : public Artifact
     enqueue(SweepEngine &engine) override
     {
         for (const std::string &name : workloadNames()) {
-            engine.enqueueCompare(name, Mode::AxMemo, defaultConfig());
-            engine.enqueueCompare(name, Mode::AxMemoNoTrunc,
+            engine.enqueueCompare(name, "axmemo", defaultConfig());
+            engine.enqueueCompare(name, "axmemo-notrunc",
                                   defaultConfig());
         }
     }

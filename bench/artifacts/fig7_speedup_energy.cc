@@ -37,9 +37,9 @@ class Fig7Artifact final : public Artifact
             for (const auto &lut : luts_) {
                 ExperimentConfig config = defaultConfig();
                 config.lut = lut;
-                engine.enqueueCompare(name, Mode::AxMemo, config);
+                engine.enqueueCompare(name, "axmemo", config);
             }
-            engine.enqueueCompare(name, Mode::SoftwareLut,
+            engine.enqueueCompare(name, "software-lut",
                                   defaultConfig());
         }
     }

@@ -34,11 +34,11 @@ class Fig8Artifact final : public Artifact
         for (const std::string &name : workloadNames()) {
             ExperimentConfig smallCfg = defaultConfig();
             smallCfg.lut = {4 * 1024, 0};
-            engine.enqueueCompare(name, Mode::AxMemo, smallCfg);
+            engine.enqueueCompare(name, "axmemo", smallCfg);
             ExperimentConfig bigCfg = defaultConfig();
             bigCfg.lut = bestLutConfig();
-            engine.enqueueCompare(name, Mode::AxMemo, bigCfg);
-            engine.enqueueCompare(name, Mode::SoftwareLut,
+            engine.enqueueCompare(name, "axmemo", bigCfg);
+            engine.enqueueCompare(name, "software-lut",
                                   defaultConfig());
         }
     }

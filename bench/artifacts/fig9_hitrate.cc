@@ -34,9 +34,9 @@ class Fig9Artifact final : public Artifact
             for (const auto &lut : luts_) {
                 ExperimentConfig config = defaultConfig();
                 config.lut = lut;
-                engine.enqueueRun(name, Mode::AxMemo, config);
+                engine.enqueueRun(name, "axmemo", config);
             }
-            engine.enqueueRun(name, Mode::SoftwareLut,
+            engine.enqueueRun(name, "software-lut",
                               defaultConfig());
         }
     }

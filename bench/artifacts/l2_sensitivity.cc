@@ -39,8 +39,8 @@ class L2SensitivityArtifact final : public Artifact
             bigCfg.lut = {8 * 1024, 256 * 1024};
             ExperimentConfig smallCfg = bigCfg;
             smallCfg.hierarchy.l2.sizeBytes = 512 * 1024;
-            engine.enqueueCompare(name, Mode::AxMemo, bigCfg);
-            engine.enqueueCompare(name, Mode::AxMemo, smallCfg);
+            engine.enqueueCompare(name, "axmemo", bigCfg);
+            engine.enqueueCompare(name, "axmemo", smallCfg);
         }
     }
 

@@ -240,7 +240,7 @@ BM_SimulatorWorkloadThroughput(benchmark::State &state)
     for (auto _ : state) {
         SimMemory mem = master.clone();
         const RunResult r =
-            runner.runPrepared(*workload, Mode::Baseline, prog, mem);
+            runner.runPrepared(*workload, "baseline", prog, mem);
         insts += r.stats.macroInsts;
         benchmark::DoNotOptimize(r.stats.cycles);
     }

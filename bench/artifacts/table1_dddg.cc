@@ -49,7 +49,7 @@ class Table1Artifact final : public Artifact
                         WorkloadParams params;
                         params.scale = std::min(
                             0.01,
-                            ExperimentRunner::benchScaleFromEnv());
+                            RuntimeOptions::global().benchScale());
                         params.sampleSet = true;
                         workload->prepare(mem, params);
                         const Program prog = workload->build();

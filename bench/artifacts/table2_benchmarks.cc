@@ -32,7 +32,7 @@ class Table2Artifact final : public Artifact
     enqueue(SweepEngine &engine) override
     {
         for (const std::string &name : workloadNames())
-            engine.enqueueRun(name, Mode::AxMemo, defaultConfig());
+            engine.enqueueRun(name, "axmemo", defaultConfig());
         workers_ = engine.workers();
     }
 

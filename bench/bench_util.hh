@@ -40,7 +40,7 @@ inline ExperimentConfig
 defaultConfig()
 {
     ExperimentConfig config;
-    config.dataset.scale = ExperimentRunner::benchScaleFromEnv();
+    config.dataset.scale = RuntimeOptions::global().benchScale();
     config.lut = bestLutConfig();
     return config;
 }

@@ -33,7 +33,6 @@
 #include <string>
 
 #include "core/axmemo.hh"
-#include "core/config_io.hh"
 #include "core/json_export.hh"
 #include "core/memo_backends.hh"
 #include "core/report.hh"
@@ -57,7 +56,8 @@ usage(const char *argv0)
 std::string
 parseMode(const std::string &name)
 {
-    const Expected<const MemoBackend *> backend = parseBackend(name);
+    const Expected<const MemoBackend *> backend =
+        memoBackends().resolve(name);
     if (!backend.ok()) {
         std::fprintf(stderr, "%s\n",
                      backend.error().describe().c_str());

@@ -34,14 +34,14 @@ main()
                   "quality loss"});
 
     const RunResult base =
-        ExperimentRunner(config).run(*workload, Mode::Baseline);
+        ExperimentRunner(config).run(*workload, "baseline");
 
     for (int bits : {0, 4, 8, 12, 16, 20}) {
         ExperimentConfig point = config;
         point.truncOverride = bits;
         const Comparison cmp = ExperimentRunner::score(
             *workload, base,
-            ExperimentRunner(point).run(*workload, Mode::AxMemo));
+            ExperimentRunner(point).run(*workload, "axmemo"));
         table.row({std::to_string(bits),
                    TextTable::percent(cmp.subject.hitRate()),
                    TextTable::times(cmp.speedup),

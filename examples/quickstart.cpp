@@ -27,7 +27,7 @@ main(int argc, char **argv)
     config.lut = {8 * 1024, 512 * 1024}; // the paper's best config
 
     ExperimentRunner runner(config);
-    const Comparison cmp = runner.compare(*workload, Mode::AxMemo);
+    const Comparison cmp = runner.compare(*workload, "axmemo");
 
     std::printf("workload       : %s (%s)\n", workload->name().c_str(),
                 workload->domain().c_str());

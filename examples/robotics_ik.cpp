@@ -31,7 +31,7 @@ main()
     config.dataset.scale = 0.1;
 
     const RunResult base =
-        ExperimentRunner(config).run(*workload, Mode::Baseline);
+        ExperimentRunner(config).run(*workload, "baseline");
     std::printf("baseline: %llu cycles, %.2f uJ\n\n",
                 static_cast<unsigned long long>(base.stats.cycles),
                 base.energyPj() / 1e6);
@@ -49,7 +49,7 @@ main()
         ExperimentConfig point = config;
         point.lut = lut;
         const RunResult r =
-            ExperimentRunner(point).run(*workload, Mode::AxMemo);
+            ExperimentRunner(point).run(*workload, "axmemo");
         const Comparison cmp =
             ExperimentRunner::score(*workload, base, r);
         table.row({lut.label(), TextTable::percent(r.hitRate()),

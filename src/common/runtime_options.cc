@@ -110,8 +110,6 @@ RuntimeOptions::fromEnv()
         options.scaleSet = envKnob("AXMEMO_SCALE", env,
                                    parsePositiveDouble(env), options.scale);
 
-    if (const char *env = envOrNull("AXMEMO_DEBUG"))
-        options.debugFlags = env;
     if (const char *env = envOrNull("AXMEMO_SWEEP_DIR"))
         options.outDir = env;
 

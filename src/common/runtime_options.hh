@@ -3,39 +3,24 @@
  * One struct for every host-side runtime knob.
  *
  * The environment variables that steer a run (worker count, dataset
- * scale, output directory, retry/timeout policy, debug flags) used to
- * be parsed ad hoc at each point of use — thread_pool read AXMEMO_JOBS,
- * experiment read AXMEMO_SCALE/AXMEMO_FULL, output_paths read
- * AXMEMO_SWEEP_DIR, and a new knob meant a new getenv scattered
- * somewhere. RuntimeOptions consolidates them: fromEnv() parses every
- * knob exactly once (with the same defensive warnings the scattered
- * parsers used), the axmemo driver layers its command-line flags on top
- * and freezes the result with setGlobal(), and the sweep/artifact APIs
- * take the struct explicitly. Code that still needs ambient access
+ * scale, output directory, retry/timeout policy) used to be parsed ad
+ * hoc at each point of use — thread_pool read AXMEMO_JOBS, experiment
+ * read AXMEMO_SCALE/AXMEMO_FULL, output_paths read AXMEMO_SWEEP_DIR,
+ * and a new knob meant a new getenv scattered somewhere.
+ * RuntimeOptions consolidates them: fromEnv() parses every knob exactly
+ * once (with the same defensive warnings the scattered parsers used),
+ * the axmemo driver layers its command-line flags on top and freezes
+ * the result with setGlobal(), and the sweep/artifact APIs take the
+ * struct explicitly. Code that still needs ambient access
  * (legacy bench helpers) goes through global(), which re-reads the
  * environment until a driver freezes it — so tests that setenv() at
  * runtime keep working.
  *
- * Knob inventory (flag equivalents are `axmemo` driver options; the
- * driver's --help prints this table):
- *
- *   AXMEMO_JOBS         --jobs <n>        sweep workers; 0/unset = hw threads
- *   AXMEMO_SCALE        --scale <f>       dataset scale (default 0.125)
- *   AXMEMO_FULL         --full            paper-size inputs (scale 1.0)
- *   AXMEMO_SWEEP_DIR    --out <dir>       output directory (default ".")
- *   AXMEMO_DEBUG        --debug-flags     trace flags (obs/trace.hh)
- *   AXMEMO_RETRIES      --retries <n>     per-job retries on failure (1)
- *   AXMEMO_JOB_TIMEOUT  --job-timeout <s> per-job watchdog seconds (0 = off)
- *   AXMEMO_TIMING       --no-timing       0 zeroes host-timing report fields
- *   AXMEMO_FAULT_INJECT --fault-inject    test hook: fail matching jobs
- *   AXMEMO_DISPATCH     --dispatch <m>    interpreter loop: auto|threaded|switch
- *   AXMEMO_NO_BATCH     --no-batch        1 disables basic-block batching
- *   AXMEMO_NO_SIMD      --no-simd         1 disables the SIMD CRC kernels
- *   AXMEMO_SHARD_DIR    --shard-dir <d>   shared work-queue directory
- *   AXMEMO_WORKER_ID    --worker-id <s>   shard worker identity
- *   AXMEMO_LEASE        --lease <s>       claim lease window seconds (30)
- *   AXMEMO_ISOLATE      --isolate         1 forks each job into a child
- *   AXMEMO_TIMELINE     --trace-timeline  span timeline output file
+ * The knob inventory (environment variable, matching `axmemo` flag,
+ * default, meaning) is describeKnobs() below, which `axmemo help`
+ * prints; keep new knobs there rather than in a second list here. One
+ * knob it lists is not a field: AXMEMO_DEBUG is read by
+ * trace::initFromEnv() (obs/trace.hh).
  *
  * The dispatch/batch/simd knobs select between bit-identical host data
  * paths (DESIGN.md §10): they change simulation speed, never simulated
@@ -82,8 +67,6 @@ struct RuntimeOptions
     double scale = 0.0;
     bool scaleSet = false;
     bool full = false;
-    /** Trace-flag spec (comma-separated names, or "All"); empty = off. */
-    std::string debugFlags;
     /** Output directory for reports/manifest; empty = current dir. */
     std::string outDir;
     /** Per-job retry budget for Failed jobs (not Timeout/Cancelled). */

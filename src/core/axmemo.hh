@@ -9,7 +9,7 @@
  *   config.dataset.scale = 0.125;
  *   config.lut = {8 * 1024, 512 * 1024};
  *   axmemo::ExperimentRunner runner(config);
- *   auto cmp = runner.compare(*workload, axmemo::Mode::AxMemo);
+ *   auto cmp = runner.compare(*workload, "axmemo");
  *   // cmp.speedup, cmp.energyReduction, cmp.qualityLoss, ...
  * @endcode
  */

@@ -1,20 +1,10 @@
 #include "core/config_io.hh"
 
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <sstream>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "core/json_export.hh"
-#include "core/json_value.hh"
-#include "core/memo_backends.hh"
 
 namespace axmemo {
 
@@ -93,363 +83,6 @@ const char *
 swHashName(SwHashKind kind)
 {
     return kind == SwHashKind::ByteSample ? "byte_sample" : "table_crc";
-}
-
-// ----------------------------------------------------- field application
-
-/** Applies parsed members onto config structs with strict key checks. */
-class Apply
-{
-  public:
-    bool ok = true;
-    std::string error;
-
-    void
-    fail(const std::string &what)
-    {
-        if (ok)
-            error = what;
-        ok = false;
-    }
-
-    bool
-    number(const JValue &v, const std::string &key, double &out)
-    {
-        if (v.kind != JValue::Kind::Number) {
-            fail("field '" + key + "' must be a number");
-            return false;
-        }
-        out = std::strtod(v.token.c_str(), nullptr);
-        return true;
-    }
-
-    bool
-    number(const JValue &v, const std::string &key, std::uint64_t &out)
-    {
-        if (v.kind != JValue::Kind::Number ||
-            v.token.find_first_of(".eE-") != std::string::npos) {
-            fail("field '" + key +
-                 "' must be a non-negative integer");
-            return false;
-        }
-        errno = 0;
-        out = std::strtoull(v.token.c_str(), nullptr, 10);
-        if (errno == ERANGE) {
-            fail("field '" + key + "' out of range");
-            return false;
-        }
-        return true;
-    }
-
-    template <typename T>
-        requires(std::is_unsigned_v<T> && !std::is_same_v<T, bool> &&
-                 !std::is_same_v<T, std::uint64_t>)
-    bool
-    number(const JValue &v, const std::string &key, T &out)
-    {
-        std::uint64_t wide = 0;
-        if (!number(v, key, wide))
-            return false;
-        if (wide > std::numeric_limits<T>::max()) {
-            fail("field '" + key + "' out of range");
-            return false;
-        }
-        out = static_cast<T>(wide);
-        return true;
-    }
-
-    bool
-    number(const JValue &v, const std::string &key, int &out)
-    {
-        if (v.kind != JValue::Kind::Number ||
-            v.token.find_first_of(".eE") != std::string::npos) {
-            fail("field '" + key + "' must be an integer");
-            return false;
-        }
-        errno = 0;
-        const long parsed = std::strtol(v.token.c_str(), nullptr, 10);
-        if (errno == ERANGE || parsed < std::numeric_limits<int>::min() ||
-            parsed > std::numeric_limits<int>::max()) {
-            fail("field '" + key + "' out of range");
-            return false;
-        }
-        out = static_cast<int>(parsed);
-        return true;
-    }
-
-    bool
-    boolean(const JValue &v, const std::string &key, bool &out)
-    {
-        if (v.kind != JValue::Kind::Bool) {
-            fail("field '" + key + "' must be a boolean");
-            return false;
-        }
-        out = v.boolean;
-        return true;
-    }
-
-    bool
-    string(const JValue &v, const std::string &key, std::string &out)
-    {
-        if (v.kind != JValue::Kind::String) {
-            fail("field '" + key + "' must be a string");
-            return false;
-        }
-        out = v.token;
-        return true;
-    }
-
-    /** Dispatch every member of @p v through @p setter(key, value);
-     * setter returns false for unknown keys. */
-    template <typename Setter>
-    void
-    object(const JValue &v, const std::string &what, Setter &&setter)
-    {
-        if (!ok)
-            return;
-        if (v.kind != JValue::Kind::Object) {
-            fail("'" + what + "' must be an object");
-            return;
-        }
-        for (const auto &[key, value] : v.members) {
-            if (!ok)
-                return;
-            if (!setter(key, value)) {
-                fail("unknown field '" + key + "' in " + what);
-                return;
-            }
-        }
-    }
-
-    void apply(const JValue &v, WorkloadParams &p);
-    void apply(const JValue &v, LutSetup &l);
-    void apply(const JValue &v, CacheConfig &c);
-    void apply(const JValue &v, DramConfig &d);
-    void apply(const JValue &v, HierarchyConfig &h);
-    void apply(const JValue &v, AdaptiveTruncationConfig &a);
-    void apply(const JValue &v, SwMemoConfig &s);
-    void apply(const JValue &v, AtmConfig &a);
-    void apply(const JValue &v, IactConfig &i);
-    void apply(const JValue &v, EnergyParams &e);
-    void apply(const JValue &v, CpuConfig &c);
-    void apply(const JValue &v, ExperimentConfig &config);
-};
-
-void
-Apply::apply(const JValue &v, WorkloadParams &p)
-{
-    object(v, "dataset", [&](const std::string &k, const JValue &j) {
-        if (k == "scale") return number(j, k, p.scale);
-        if (k == "seed") return number(j, k, p.seed);
-        if (k == "sample_set") return boolean(j, k, p.sampleSet);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, LutSetup &l)
-{
-    object(v, "lut", [&](const std::string &k, const JValue &j) {
-        if (k == "l1_bytes") return number(j, k, l.l1Bytes);
-        if (k == "l2_bytes") return number(j, k, l.l2Bytes);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, CacheConfig &c)
-{
-    object(v, "cache", [&](const std::string &k, const JValue &j) {
-        if (k == "name") return string(j, k, c.name);
-        if (k == "size_bytes") return number(j, k, c.sizeBytes);
-        if (k == "assoc") return number(j, k, c.assoc);
-        if (k == "line_size") return number(j, k, c.lineSize);
-        if (k == "hit_latency") return number(j, k, c.hitLatency);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, DramConfig &d)
-{
-    object(v, "dram", [&](const std::string &k, const JValue &j) {
-        if (k == "channels") return number(j, k, d.channels);
-        if (k == "banks_per_channel")
-            return number(j, k, d.banksPerChannel);
-        if (k == "row_bytes") return number(j, k, d.rowBytes);
-        if (k == "row_hit_latency")
-            return number(j, k, d.rowHitLatency);
-        if (k == "row_miss_latency")
-            return number(j, k, d.rowMissLatency);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, HierarchyConfig &h)
-{
-    object(v, "hierarchy", [&](const std::string &k, const JValue &j) {
-        if (k == "l1d") { apply(j, h.l1d); return true; }
-        if (k == "l2") { apply(j, h.l2); return true; }
-        if (k == "dram") { apply(j, h.dram); return true; }
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, AdaptiveTruncationConfig &a)
-{
-    object(v, "adaptive", [&](const std::string &k, const JValue &j) {
-        if (k == "enabled") return boolean(j, k, a.enabled);
-        if (k == "profile_period")
-            return number(j, k, a.profilePeriod);
-        if (k == "profile_length")
-            return number(j, k, a.profileLength);
-        if (k == "target_error") return number(j, k, a.targetError);
-        if (k == "raise_band") return number(j, k, a.raiseBand);
-        if (k == "hit_target") return number(j, k, a.hitTarget);
-        if (k == "max_extra_bits")
-            return number(j, k, a.maxExtraBits);
-        if (k == "absolute_floor")
-            return number(j, k, a.absoluteFloor);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, SwMemoConfig &s)
-{
-    object(v, "software", [&](const std::string &k, const JValue &j) {
-        if (k == "hash") {
-            std::string name;
-            if (!string(j, k, name))
-                return true;
-            if (name == "table_crc")
-                s.hash = SwHashKind::TableCrc;
-            else if (name == "byte_sample")
-                s.hash = SwHashKind::ByteSample;
-            else
-                fail("unknown software hash '" + name + "'");
-            return true;
-        }
-        if (k == "log2_entries") return number(j, k, s.log2Entries);
-        if (k == "sample_bytes") return number(j, k, s.sampleBytes);
-        if (k == "task_overhead_insts")
-            return number(j, k, s.taskOverheadInsts);
-        if (k == "seed") return number(j, k, s.seed);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, AtmConfig &a)
-{
-    object(v, "atm", [&](const std::string &k, const JValue &j) {
-        if (k == "sample_bytes") return number(j, k, a.sampleBytes);
-        if (k == "task_overhead_insts")
-            return number(j, k, a.taskOverheadInsts);
-        if (k == "log2_entries") return number(j, k, a.log2Entries);
-        if (k == "seed") return number(j, k, a.seed);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, IactConfig &i)
-{
-    object(v, "iact", [&](const std::string &k, const JValue &j) {
-        if (k == "threshold") return number(j, k, i.threshold);
-        if (k == "log2_entries") return number(j, k, i.log2Entries);
-        if (k == "pools") return number(j, k, i.pools);
-        if (k == "task_overhead_insts")
-            return number(j, k, i.taskOverheadInsts);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, EnergyParams &e)
-{
-    object(v, "energy", [&](const std::string &k, const JValue &j) {
-        if (k == "frontend_per_uop")
-            return number(j, k, e.frontendPerUop);
-        if (k == "int_alu") return number(j, k, e.intAlu);
-        if (k == "int_mul") return number(j, k, e.intMul);
-        if (k == "int_div") return number(j, k, e.intDiv);
-        if (k == "fp_simple") return number(j, k, e.fpSimple);
-        if (k == "fp_mul") return number(j, k, e.fpMul);
-        if (k == "fp_div") return number(j, k, e.fpDiv);
-        if (k == "fp_long_per_uop")
-            return number(j, k, e.fpLongPerUop);
-        if (k == "mem_agen") return number(j, k, e.memAgen);
-        if (k == "branch") return number(j, k, e.branch);
-        if (k == "memo_issue") return number(j, k, e.memoIssue);
-        if (k == "l1d_access") return number(j, k, e.l1dAccess);
-        if (k == "l2_access") return number(j, k, e.l2Access);
-        if (k == "dram_access") return number(j, k, e.dramAccess);
-        if (k == "crc_per_4_bytes")
-            return number(j, k, e.crcPer4Bytes);
-        if (k == "hvr_access") return number(j, k, e.hvrAccess);
-        if (k == "leakage_per_cycle")
-            return number(j, k, e.leakagePerCycle);
-        if (k == "memo_leakage_per_cycle")
-            return number(j, k, e.memoLeakagePerCycle);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, CpuConfig &c)
-{
-    object(v, "cpu", [&](const std::string &k, const JValue &j) {
-        if (k == "issue_width") return number(j, k, c.issueWidth);
-        if (k == "mispredict_penalty")
-            return number(j, k, c.mispredictPenalty);
-        if (k == "freq_ghz") return number(j, k, c.freqGhz);
-        if (k == "num_int_alus") return number(j, k, c.numIntAlus);
-        if (k == "predictor_entries")
-            return number(j, k, c.predictorEntries);
-        if (k == "out_of_order") return boolean(j, k, c.outOfOrder);
-        if (k == "rob_size") return number(j, k, c.robSize);
-        return false;
-    });
-}
-
-void
-Apply::apply(const JValue &v, ExperimentConfig &config)
-{
-    object(v, "config", [&](const std::string &k, const JValue &j) {
-        if (k == "dataset") { apply(j, config.dataset); return true; }
-        if (k == "lut") { apply(j, config.lut); return true; }
-        if (k == "crc_bits") return number(j, k, config.crcBits);
-        if (k == "hierarchy") {
-            apply(j, config.hierarchy);
-            return true;
-        }
-        if (k == "quality_monitor")
-            return boolean(j, k, config.qualityMonitor);
-        if (k == "trunc_override")
-            return number(j, k, config.truncOverride);
-        if (k == "adaptive") { apply(j, config.adaptive); return true; }
-        if (k == "l2_policy") {
-            std::string name;
-            if (!string(j, k, name))
-                return true;
-            if (name == "inclusive")
-                config.l2Policy = L2LutPolicy::Inclusive;
-            else if (name == "victim")
-                config.l2Policy = L2LutPolicy::Victim;
-            else
-                fail("unknown l2_policy '" + name + "'");
-            return true;
-        }
-        if (k == "software") { apply(j, config.software); return true; }
-        if (k == "atm") { apply(j, config.atm); return true; }
-        if (k == "iact") { apply(j, config.iact); return true; }
-        if (k == "energy") { apply(j, config.energy); return true; }
-        if (k == "cpu") { apply(j, config.cpu); return true; }
-        return false;
-    });
 }
 
 } // namespace
@@ -613,32 +246,6 @@ toJson(const ExperimentConfig &config)
     o.raw("energy", toJson(config.energy));
     o.raw("cpu", toJson(config.cpu));
     return o.close();
-}
-
-Expected<ExperimentConfig>
-parseConfig(const std::string &json)
-{
-    Expected<JValue> root = parseJsonValue(json);
-    if (!root.ok())
-        return Error{ErrorCode::Parse, "config", root.error().message};
-    ExperimentConfig config;
-    Apply apply;
-    apply.apply(root.value(), config);
-    if (!apply.ok)
-        return Error{ErrorCode::Parse, "config", apply.error};
-    return config;
-}
-
-bool
-configEquals(const ExperimentConfig &a, const ExperimentConfig &b)
-{
-    return toJson(a) == toJson(b);
-}
-
-Expected<const MemoBackend *>
-parseBackend(const std::string &name)
-{
-    return memoBackends().resolve(name);
 }
 
 } // namespace axmemo

@@ -3,16 +3,19 @@
  * Canonical serialization of ExperimentConfig and every nested struct.
  *
  * One JSON form is THE identity of a configuration: the sweep engine
- * derives its prepare/baseline cache keys from it, the driver's
- * manifest.json records it, and tests round-trip it. The format is
- * canonical in the strict sense:
+ * derives its prepare/baseline cache keys from it, the checkpoint
+ * journal keys jobs by it, and the driver's manifest.json records it.
+ * The format is canonical in the strict sense:
  *
  *  - fields are emitted in declaration order, every field always
  *    present (no minimization), objects compact (no whitespace);
- *  - doubles are printed with %.17g, which round-trips every finite
- *    IEEE-754 value bit-exactly through parseConfig();
- *  - therefore serialize(parse(serialize(c))) == serialize(c), and
- *    string equality of serializations is configuration equality.
+ *  - doubles are printed with %.17g, which strtod() reads back
+ *    bit-exactly for every finite IEEE-754 value, and integers are
+ *    printed in full (u64 values above 2^53 included);
+ *  - therefore string equality of serializations is configuration
+ *    equality.
+ *
+ * The form is written, never parsed back: it is a key and a record.
  *
  * Adding a field to ExperimentConfig (or a nested struct) without
  * updating the serializer here is caught by the field-count guard in
@@ -25,7 +28,6 @@
 
 #include <string>
 
-#include "common/expected.hh"
 #include "core/experiment.hh"
 
 namespace axmemo {
@@ -43,28 +45,6 @@ std::string toJson(const IactConfig &i);
 std::string toJson(const EnergyParams &e);
 std::string toJson(const CpuConfig &c);
 std::string toJson(const ExperimentConfig &config);
-
-/**
- * Parse a serialized ExperimentConfig (any JSON whitespace accepted).
- * Fields absent from the JSON keep their default values; unknown keys
- * and malformed JSON are errors carrying ErrorCode::Parse — the caller
- * decides whether that is fatal.
- */
-Expected<ExperimentConfig> parseConfig(const std::string &json);
-
-/** Canonical equality: serializations compare equal. */
-bool configEquals(const ExperimentConfig &a, const ExperimentConfig &b);
-
-class MemoBackend;
-
-/**
- * Resolve a memoization backend by its registered name. Unknown names
- * return an ErrorCode::Config error that lists every registered
- * backend and, when the name is a near miss, a did-you-mean
- * suggestion — configuration surfaces (CLI flags, config files)
- * should report it and exit rather than crash.
- */
-Expected<const MemoBackend *> parseBackend(const std::string &name);
 
 } // namespace axmemo
 

@@ -1,31 +1,15 @@
 #include "core/experiment.hh"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/error_metrics.hh"
 #include "common/log.hh"
 #include "common/run_control.hh"
-#include "common/runtime_options.hh"
 #include "core/memo_backends.hh"
 #include "obs/span.hh"
 
 namespace axmemo {
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-      case Mode::Baseline: return "baseline";
-      case Mode::AxMemo: return "axmemo";
-      case Mode::AxMemoNoTrunc: return "axmemo-notrunc";
-      case Mode::SoftwareLut: return "software-lut";
-      case Mode::Atm: return "atm";
-    }
-    return "???";
-}
 
 ExperimentRunner::ExperimentRunner(const ExperimentConfig &config)
     : config_(config)
@@ -107,7 +91,7 @@ Comparison
 ExperimentRunner::compare(Workload &workload,
                           const std::string &backend) const
 {
-    return score(workload, run(workload, Mode::Baseline),
+    return score(workload, run(workload, "baseline"),
                  run(workload, backend));
 }
 
@@ -152,14 +136,6 @@ ExperimentRunner::score(const Workload &workload, RunResult baseline,
         cmp.baseline.outputs, cmp.subject.outputs,
         std::max(1e-6, 0.01 * maxAbs));
     return cmp;
-}
-
-double
-ExperimentRunner::benchScaleFromEnv(double fallback)
-{
-    // One parser for every knob: RuntimeOptions keeps the defensive
-    // warnings the inline AXMEMO_FULL/AXMEMO_SCALE parsing had.
-    return RuntimeOptions::global().benchScale(fallback);
 }
 
 } // namespace axmemo

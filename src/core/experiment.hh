@@ -27,26 +27,6 @@
 
 namespace axmemo {
 
-/**
- * Execution flavor of one run. Runs are dispatched through the
- * MemoBackend registry by NAME (memo/backend.hh); this enum survives as
- * compile-checked sugar for the builtin backends — modeName() maps each
- * enumerator onto its registered backend name, and the Mode overloads
- * of run()/runPrepared()/compare() forward through it. New backends do
- * not get an enumerator: they are addressed by string only.
- */
-enum class Mode
-{
-    Baseline,      ///< unmodified program, no memoization hardware
-    AxMemo,        ///< hardware memoization with Table 2 truncation
-    AxMemoNoTrunc, ///< hardware memoization, truncation disabled (Fig 11)
-    SoftwareLut,   ///< software CRC + array LUT contender
-    Atm            ///< Approximate Task Memoization baseline
-};
-
-/** @return the registered backend name of builtin @p mode. */
-const char *modeName(Mode mode);
-
 /** LUT sizing of one AxMemo configuration (Fig. 7's x-axis). */
 struct LutSetup
 {
@@ -207,26 +187,6 @@ class ExperimentRunner
     Comparison compare(Workload &workload,
                        const std::string &backend) const;
 
-    // Mode-enum sugar for the builtin backends.
-    RunResult
-    run(Workload &workload, Mode mode) const
-    {
-        return run(workload, std::string(modeName(mode)));
-    }
-    RunResult
-    runPrepared(const Workload &workload, Mode mode,
-                const Program &baselineProg, SimMemory &mem,
-                const RunControl *control = nullptr) const
-    {
-        return runPrepared(workload, std::string(modeName(mode)),
-                           baselineProg, mem, control);
-    }
-    Comparison
-    compare(Workload &workload, Mode mode) const
-    {
-        return compare(workload, std::string(modeName(mode)));
-    }
-
     /**
      * Score an already-run pair (reuse one baseline across many subject
      * configurations; the baseline must come from the same dataset
@@ -236,9 +196,6 @@ class ExperimentRunner
      */
     static Comparison score(const Workload &workload, RunResult baseline,
                             RunResult subject);
-
-    /** The dataset scale from AXMEMO_FULL / AXMEMO_SCALE (bench use). */
-    static double benchScaleFromEnv(double fallback = 0.125);
 
   private:
     ExperimentConfig config_;

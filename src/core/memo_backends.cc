@@ -136,11 +136,6 @@ class BaselineBackend final : public MemoBackend
         return "unmodified program; the reference every comparison is "
                "scored against";
     }
-    std::string
-    configSummary() const override
-    {
-        return "(shared cpu/hierarchy/energy config only)";
-    }
 
     std::unique_ptr<BackendSession>
     prepare(const BackendRunContext &ctx) const override
@@ -208,14 +203,6 @@ class AxMemoBackend final : public MemoBackend
                         : "hardware memoization unit with Table 2 "
                           "truncation (the paper's design)";
     }
-    std::string
-    configSummary() const override
-    {
-        return noTrunc_ ? "lut, crc_bits, quality_monitor, adaptive, "
-                          "l2_policy"
-                        : "lut, crc_bits, quality_monitor, "
-                          "trunc_override, adaptive, l2_policy";
-    }
     bool hardwareMemo() const override { return true; }
 
     std::unique_ptr<BackendSession>
@@ -272,7 +259,6 @@ class SoftwareLutBackend final : public MemoBackend
         return "software CRC + direct-indexed array LUT contender "
                "(Section 6.2)";
     }
-    std::string configSummary() const override { return "software"; }
 
     std::unique_ptr<BackendSession>
     prepare(const BackendRunContext &ctx) const override
@@ -296,7 +282,6 @@ class AtmBackend final : public MemoBackend
         return "Approximate Task Memoization: sampled-byte hash plus "
                "task dispatch cost";
     }
-    std::string configSummary() const override { return "atm"; }
 
     std::unique_ptr<BackendSession>
     prepare(const BackendRunContext &ctx) const override
@@ -320,7 +305,6 @@ class IactBackend final : public MemoBackend
         return "iACT/HPAC-style software memoization: relative-error "
                "input matching in per-thread pools";
     }
-    std::string configSummary() const override { return "iact"; }
 
     std::unique_ptr<BackendSession>
     prepare(const BackendRunContext &ctx) const override

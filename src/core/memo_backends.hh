@@ -10,10 +10,8 @@
  * static-library dead-stripping that would silently drop
  * self-registering translation units (the artifact registry pays for
  * that with OBJECT libraries; backends are needed by core itself, so
- * an accessor is simpler).
- *
- * Out-of-tree backends still use AXMEMO_REGISTER_MEMO_BACKEND from
- * memo/backend.hh; they land in the same registry.
+ * an accessor is simpler). Adding a backend is one more add() call
+ * in memoBackends(); there is no self-registration path.
  */
 
 #ifndef AXMEMO_CORE_MEMO_BACKENDS_HH

@@ -447,7 +447,7 @@ void
 decodeRunResult(const JValue &v, RunResult &r)
 {
     // Since journal version 2 the mode field holds the backend NAME;
-    // version-1 lines carried a Mode ordinal and fail here, which the
+    // version-1 lines carried a numeric mode ordinal and fail here, which the
     // tolerant load() turns into a re-simulation rather than an abort.
     Expected<std::string> backend =
         jsonString(member(v, "mode"), "mode");

@@ -51,7 +51,7 @@ prepareKey(const std::string &workload, const WorkloadParams &d)
 }
 
 /**
- * Key of the baseline result cache: everything a Mode::Baseline run can
+ * Key of the baseline result cache: everything a baseline run can
  * observe — dataset, CPU, memory hierarchy and energy parameters. LUT
  * geometry, CRC width, memo policies etc. deliberately do not
  * participate — the baseline has no memoization unit, which is what
@@ -146,7 +146,7 @@ runWithRetry(Fn &&fn, unsigned retries)
 bool
 isBaseline(const SweepJob &job)
 {
-    return job.backend == modeName(Mode::Baseline);
+    return job.backend == "baseline";
 }
 
 /** The AXMEMO_FAULT_INJECT test hook; see RuntimeOptions. */
@@ -492,7 +492,7 @@ SweepEngine::execute()
                                 makeControl(options_);
                             return runner.runPrepared(
                                 *entry.prepared->workload,
-                                Mode::Baseline,
+                                "baseline",
                                 entry.prepared->program, mem,
                                 &control);
                         };

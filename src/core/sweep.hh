@@ -173,22 +173,6 @@ class SweepEngine
                                const std::string &backend,
                                const ExperimentConfig &config);
 
-    // Mode-enum sugar for the builtin backends.
-    std::size_t
-    enqueueRun(const std::string &workload, Mode mode,
-               const ExperimentConfig &config)
-    {
-        return enqueueRun(workload, std::string(modeName(mode)),
-                          config);
-    }
-    std::size_t
-    enqueueCompare(const std::string &workload, Mode mode,
-                   const ExperimentConfig &config)
-    {
-        return enqueueCompare(workload, std::string(modeName(mode)),
-                              config);
-    }
-
     /**
      * Run every job enqueued since the last execute(). Results are in
      * submission order and bit-identical to a serial per-job

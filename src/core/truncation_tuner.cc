@@ -28,7 +28,7 @@ TruncationTuner::tune(Workload &workload,
         ExperimentConfig config = config_;
         config.truncOverride = static_cast<int>(bits);
         const ExperimentRunner runner(config);
-        const Comparison cmp = runner.compare(workload, Mode::AxMemo);
+        const Comparison cmp = runner.compare(workload, "axmemo");
         TuningPoint point;
         point.truncBits = bits;
         point.qualityLoss = cmp.qualityLoss;

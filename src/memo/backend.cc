@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "common/run_control.hh"
-#include "obs/span.hh"
 
 namespace axmemo {
 
@@ -46,24 +44,6 @@ suggestClosest(const std::string &name,
         }
     }
     return best ? *best : std::string();
-}
-
-void
-MemoBackend::run(const BackendRunContext &ctx, RunResult &result) const
-{
-    const std::unique_ptr<BackendSession> session = prepare(ctx);
-    bool more = true;
-    while (more) {
-        if (ctx.session.control)
-            ctx.session.control->check("backend");
-        if (ctx.session.spanCategory) {
-            AXM_SPAN(ctx.session.spanCategory, session->phase());
-            more = session->step();
-        } else {
-            more = session->step();
-        }
-    }
-    session->finish(result);
 }
 
 MemoBackendRegistry &
@@ -134,12 +114,6 @@ MemoBackendRegistry::list() const
     for (const Entry *entry : sorted)
         out.push_back(entry->backend.get());
     return out;
-}
-
-MemoBackendRegistrar::MemoBackendRegistrar(
-    int order, std::unique_ptr<MemoBackend> backend)
-{
-    MemoBackendRegistry::instance().add(order, std::move(backend));
 }
 
 } // namespace axmemo

@@ -7,15 +7,13 @@
  * any future backend (faulty-LUT storage, a served memo table) — is a
  * MemoBackend: a named strategy that takes a prepared workload and
  * produces a RunResult. ExperimentRunner dispatches through the
- * registry by name, config_io serializes backends symbolically, the
- * sweep engine treats the backend name as a first-class sweep axis,
- * and the checkpoint journal keys jobs by it.
+ * registry by name, the sweep engine treats the backend name as a
+ * first-class sweep axis, and the checkpoint journal keys jobs by it.
  *
- * Adding a backend is one registration: implement the interface,
- * register it (builtins via core/memo_backends.cc, out-of-tree ones
- * via AXMEMO_REGISTER_MEMO_BACKEND), and every driver surface —
- * `axmemo --list`, the cli's --mode flag, sweep journaling, manifest
- * rows — picks it up with no enum sweep through the codebase.
+ * Adding a backend is one registration: implement the interface, add
+ * it to the builtin catalog in core/memo_backends.cc, and every driver
+ * surface — `axmemo list`, the cli's --mode flag, sweep journaling,
+ * manifest rows — picks it up with no enum sweep through the codebase.
  *
  * This header lives in the memo library (links only common + crc), so
  * the run context uses forward declarations; the concrete builtin
@@ -83,9 +81,9 @@ struct BackendRunContext
  * The contract: call step() until it returns false, then finish()
  * exactly once. step() executes one whole phase (e.g. the memoization
  * transform, or the simulation to halt); phase() names the phase the
- * next step() will run. MemoBackend::run() is the canonical driver —
- * the batch path and the server both execute sessions through the same
- * code, which is what keeps their outputs identical.
+ * next step() will run. RunSession (core/experiment.hh) is the one
+ * driver — the batch path and the server both execute sessions through
+ * it, which is what keeps their outputs identical.
  */
 class BackendSession
 {
@@ -110,16 +108,12 @@ class MemoBackend
   public:
     virtual ~MemoBackend() = default;
 
-    /** Stable identifier: the sweep axis value, journal key component,
-     * config_io name and report label. Lower-case, no whitespace. */
+    /** Stable identifier: the sweep axis value, journal key component
+     * and report label. Lower-case, no whitespace. */
     virtual std::string name() const = 0;
 
     /** One-line human description for `axmemo --list`. */
     virtual std::string description() const = 0;
-
-    /** The ExperimentConfig sections this backend reads ("lut,
-     * crc_bits", "iact", ...) — its config schema, for --list. */
-    virtual std::string configSummary() const = 0;
 
     /** True when the run attaches the hardware memoization unit (the
      * run report renders the memo-unit section for these). */
@@ -129,15 +123,6 @@ class MemoBackend
      * BackendSession for the driving contract. */
     virtual std::unique_ptr<BackendSession>
     prepare(const BackendRunContext &ctx) const = 0;
-
-    /**
-     * Execute one run to completion: prepare(), step() until done
-     * (honoring ctx.session — cancellation poll and per-phase spans),
-     * finish() into @p result. The caller owns result.backend and
-     * result.outputs. Non-virtual: every backend runs through the
-     * session path, so batch and incremental drivers cannot diverge.
-     */
-    void run(const BackendRunContext &ctx, RunResult &result) const;
 };
 
 /** Name-keyed backend catalog; see file comment. */
@@ -156,8 +141,8 @@ class MemoBackendRegistry
     /**
      * find() with a structured error: unknown names produce an
      * ErrorCode::Config Expected carrying a did-you-mean suggestion
-     * and the list of registered backends, for config_io and the
-     * driver surfaces to report verbatim.
+     * and the list of registered backends, for the driver surfaces to
+     * report verbatim.
      */
     Expected<const MemoBackend *> resolve(const std::string &name) const;
 
@@ -182,18 +167,6 @@ std::size_t editDistance(const std::string &a, const std::string &b);
  * when none qualifies. */
 std::string suggestClosest(const std::string &name,
                            const std::vector<std::string> &candidates);
-
-/** Static registrar for out-of-core backends (builtins register
- * explicitly through core/memo_backends.cc instead, so no static-init
- * order or linker dead-stripping issues apply to them). */
-struct MemoBackendRegistrar
-{
-    MemoBackendRegistrar(int order, std::unique_ptr<MemoBackend> backend);
-};
-
-#define AXMEMO_REGISTER_MEMO_BACKEND(order, cls)                          \
-    static const ::axmemo::MemoBackendRegistrar                           \
-        axmemoMemoBackendRegistrar_##cls{order, std::make_unique<cls>()};
 
 } // namespace axmemo
 

@@ -38,13 +38,11 @@ LookupTable::lookup(LutId lutId, std::uint64_t hash)
 
     // MRU fast path: keys are unique within a set, so checking the
     // hinted way first can never disagree with the scan below.
-    if (mruEnabled_) {
-        Entry *e = entryAt(set, mruWay_[set]);
-        if (e->valid && e->lutId == lutId && e->hash == hash) {
-            e->lruStamp = ++stamp_;
-            ++hits_;
-            return e->data;
-        }
+    Entry *hinted = entryAt(set, mruWay_[set]);
+    if (hinted->valid && hinted->lutId == lutId && hinted->hash == hash) {
+        hinted->lruStamp = ++stamp_;
+        ++hits_;
+        return hinted->data;
     }
 
     for (unsigned w = 0; w < ways_; ++w) {

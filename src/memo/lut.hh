@@ -91,10 +91,6 @@ class LookupTable
     /** Number of currently valid entries. */
     std::uint64_t validCount() const;
 
-    /** Disable/enable the MRU way hint (equivalence tests and the perf
-     * harness; lookup/insert sequences are identical either way). */
-    void setMruHintEnabled(bool enabled) { mruEnabled_ = enabled; }
-
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
@@ -125,7 +121,6 @@ class LookupTable
 
     unsigned numSets_;
     unsigned ways_;
-    bool mruEnabled_ = true;
     std::uint64_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

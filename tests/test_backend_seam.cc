@@ -41,6 +41,27 @@ tinyConfig()
 // two private helpers inlined. Do not "modernize" this — its value is
 // being the frozen original.
 
+// The enum the replica switches on, and the registered backend name of
+// each mode. The library addresses backends by name only; the enum
+// lives on here as part of the frozen original.
+enum class Mode
+{
+    Baseline,
+    AxMemo,
+    AxMemoNoTrunc,
+    SoftwareLut,
+    Atm
+};
+
+constexpr const char *kModeNames[] = {
+    "baseline", "axmemo", "axmemo-notrunc", "software-lut", "atm"};
+
+const char *
+modeName(Mode mode)
+{
+    return kModeNames[static_cast<int>(mode)];
+}
+
 MemoUnitConfig
 legacyMemoConfigFor(const ExperimentConfig &config,
                     const Workload &workload, unsigned dataBytes)
@@ -221,13 +242,10 @@ TEST(BackendSeam, TruncOverrideFlowsThroughSeam)
 
 TEST(BackendRegistry, LegacyModeNamesAllResolve)
 {
-    for (Mode mode : {Mode::Baseline, Mode::AxMemo,
-                      Mode::AxMemoNoTrunc, Mode::SoftwareLut,
-                      Mode::Atm}) {
-        const MemoBackend *backend =
-            memoBackends().find(modeName(mode));
-        ASSERT_NE(backend, nullptr) << modeName(mode);
-        EXPECT_EQ(backend->name(), modeName(mode));
+    for (const char *name : kModeNames) {
+        const MemoBackend *backend = memoBackends().find(name);
+        ASSERT_NE(backend, nullptr) << name;
+        EXPECT_EQ(backend->name(), name);
         EXPECT_FALSE(backend->description().empty());
     }
 }

@@ -1,19 +1,23 @@
 /**
  * @file
  * Canonical config serialization (core/config_io.hh):
- *  - serialize(parse(serialize(c))) == serialize(c), on defaults and on
- *    thousands of randomized configurations;
  *  - every field participates in the serialization (mutating any field
  *    changes the canonical string), so two distinct configs can never
  *    collide onto one sweep cache key;
  *  - an aggregate field-count guard that fails when a struct grows a
  *    field the serializer (and these mutators) do not cover yet;
- *  - strict parsing: unknown keys, malformed documents and trailing
- *    garbage are rejected with an error message.
+ *  - the emitted tokens are lossless: every double reads back
+ *    bit-exactly through strtod(), u64 values above 2^53 appear digit
+ *    for digit, and enums are written by name.
+ * Plus the structured error of memoBackends().resolve() on unknown
+ * backend names.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -46,7 +50,7 @@ fieldCount()
 }
 
 // When one of these fails: a field was added (or removed). Update
-// core/config_io.cc (serializer + parser), the mutator list below, and
+// the serializer in core/config_io.cc, the mutator list below, and
 // then the expected count.
 TEST(ConfigFieldGuard, StructFieldCountsMatchSerializer)
 {
@@ -65,8 +69,8 @@ TEST(ConfigFieldGuard, StructFieldCountsMatchSerializer)
 }
 
 // ---------------------------------------------------------------------
-// Per-field mutators: drive both the sensitivity test (each mutation
-// must change the canonical string) and the randomized round-trip.
+// Per-field mutators: drive the sensitivity test (each mutation must
+// change the canonical string).
 
 struct Mutator
 {
@@ -332,20 +336,18 @@ mutators()
     };
 }
 
-ExperimentConfig
-roundTrip(const ExperimentConfig &config)
+/** The token the serializer wrote right after @p prefix in @p json
+ * (up to the next ',' or '}'). */
+std::string
+tokenAfter(const std::string &json, const std::string &prefix)
 {
-    const Expected<ExperimentConfig> out = parseConfig(toJson(config));
-    EXPECT_TRUE(out.ok());
-    return out.ok() ? out.value() : ExperimentConfig{};
-}
-
-TEST(ConfigIo, DefaultRoundTripsExactly)
-{
-    const ExperimentConfig config;
-    const std::string json = toJson(config);
-    EXPECT_EQ(json, toJson(roundTrip(config)));
-    EXPECT_TRUE(configEquals(config, roundTrip(config)));
+    const std::size_t at = json.find(prefix);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no '" << prefix << "' in " << json;
+        return {};
+    }
+    const std::size_t begin = at + prefix.size();
+    return json.substr(begin, json.find_first_of(",}", begin) - begin);
 }
 
 TEST(ConfigIo, EveryFieldParticipatesInSerialization)
@@ -367,109 +369,45 @@ TEST(ConfigIo, EveryFieldParticipatesInSerialization)
     }
 }
 
-TEST(ConfigIo, RandomizedConfigsRoundTripExactly)
-{
-    const auto muts = mutators();
-    Rng rng(0xa8d3);
-    for (int iteration = 0; iteration < 2000; ++iteration) {
-        ExperimentConfig config;
-        // Perturb a random subset of fields, several times over.
-        const std::size_t edits = 1 + rng.below(muts.size());
-        for (std::size_t e = 0; e < edits; ++e)
-            muts[rng.below(muts.size())].apply(config, rng);
-
-        const std::string once = toJson(config);
-        const ExperimentConfig parsed = roundTrip(config);
-        ASSERT_EQ(once, toJson(parsed)) << "iteration " << iteration;
-        ASSERT_TRUE(configEquals(config, parsed));
-    }
-}
-
 TEST(ConfigIo, AdversarialDoublesRoundTrip)
 {
+    // Every %.17g token must read back to the identical bit pattern:
+    // that is what makes string equality of serializations
+    // configuration equality (and keeps -0.0 apart from 0.0).
     const double values[] = {0.0, -0.0, 1e-308, 1.7976931348623157e308,
                              0.1, 1.0 / 3.0, 6.02214076e23,
                              -123.456789012345678};
     for (double v : values) {
         ExperimentConfig config;
         config.dataset.scale = v;
-        const ExperimentConfig parsed = roundTrip(config);
-        EXPECT_EQ(toJson(config), toJson(parsed)) << "value " << v;
+        const std::string token =
+            tokenAfter(toJson(config), "{\"dataset\":{\"scale\":");
+        char *end = nullptr;
+        const double back = std::strtod(token.c_str(), &end);
+        EXPECT_EQ(*end, '\0') << "token " << token;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                  std::bit_cast<std::uint64_t>(v))
+            << "value " << v << " token " << token;
     }
 }
 
 TEST(ConfigIo, LargeU64RoundTripsLosslessly)
 {
-    // Values above 2^53 are not representable as doubles; the parser
-    // must keep the raw token.
+    // Values above 2^53 are not representable as doubles; the writer
+    // must print the integer itself, digit for digit.
     ExperimentConfig config;
     config.lut.l1Bytes = (1ull << 53) + 1;
     config.lut.l2Bytes = 0xffffffffffffffffull;
-    const ExperimentConfig parsed = roundTrip(config);
-    EXPECT_EQ(parsed.lut.l1Bytes, (1ull << 53) + 1);
-    EXPECT_EQ(parsed.lut.l2Bytes, 0xffffffffffffffffull);
-    EXPECT_EQ(toJson(config), toJson(parsed));
-}
-
-TEST(ConfigIo, WhitespaceToleratedCanonicalFormRestored)
-{
-    ExperimentConfig config;
-    config.crcBits = 24;
-    std::string json = toJson(config);
-    // Inject whitespace after every comma/colon/brace.
-    std::string spaced;
-    for (char ch : json) {
-        spaced += ch;
-        if (ch == ',' || ch == ':' || ch == '{')
-            spaced += "\n  ";
-    }
-    const Expected<ExperimentConfig> parsed = parseConfig(spaced);
-    ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
-    EXPECT_EQ(toJson(parsed.value()), json);
-}
-
-TEST(ConfigIo, RejectsMalformedDocuments)
-{
-    const Expected<ExperimentConfig> empty = parseConfig("");
-    EXPECT_FALSE(empty.ok());
-    EXPECT_EQ(empty.error().code, ErrorCode::Parse);
-    EXPECT_FALSE(empty.error().message.empty());
-    EXPECT_FALSE(parseConfig("{").ok());
-    EXPECT_FALSE(parseConfig("[]").ok());
-    EXPECT_FALSE(parseConfig("{\"crc_bits\":}").ok());
-    EXPECT_FALSE(parseConfig("{\"crc_bits\":32} trailing").ok());
-}
-
-TEST(ConfigIo, RejectsUnknownKeys)
-{
-    const Expected<ExperimentConfig> bad =
-        parseConfig("{\"crc_bitz\":32}");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().code, ErrorCode::Parse);
-    EXPECT_NE(bad.error().message.find("crc_bitz"), std::string::npos)
-        << bad.error().describe();
-    EXPECT_FALSE(
-        parseConfig("{\"lut\":{\"l1_bytes\":4096,\"l3_bytes\":1}}")
-            .ok());
-}
-
-TEST(ConfigIo, PartialDocumentsKeepDefaults)
-{
-    const Expected<ExperimentConfig> parsed =
-        parseConfig("{\"crc_bits\":16}");
-    ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
-    const ExperimentConfig &config = parsed.value();
-    EXPECT_EQ(config.crcBits, 16u);
-    const ExperimentConfig defaults;
-    EXPECT_EQ(config.lut.l1Bytes, defaults.lut.l1Bytes);
-    EXPECT_EQ(config.cpu.issueWidth, defaults.cpu.issueWidth);
+    const std::string json = toJson(config);
+    EXPECT_EQ(tokenAfter(json, "\"l1_bytes\":"), "9007199254740993");
+    EXPECT_EQ(tokenAfter(json, "\"l2_bytes\":"), "18446744073709551615");
 }
 
 TEST(ParseBackend, ResolvesEveryRegisteredName)
 {
     for (const MemoBackend *backend : memoBackends().list()) {
         const Expected<const MemoBackend *> got =
-            parseBackend(backend->name());
+            memoBackends().resolve(backend->name());
         ASSERT_TRUE(got.ok()) << backend->name();
         EXPECT_EQ(got.value(), backend);
     }
@@ -477,7 +415,8 @@ TEST(ParseBackend, ResolvesEveryRegisteredName)
 
 TEST(ParseBackend, UnknownNameIsStructuredErrorWithSuggestion)
 {
-    const Expected<const MemoBackend *> bad = parseBackend("axmeno");
+    const Expected<const MemoBackend *> bad =
+        memoBackends().resolve("axmeno");
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().code, ErrorCode::Config);
     EXPECT_EQ(bad.error().component, "backend");
@@ -494,7 +433,7 @@ TEST(ParseBackend, UnknownNameIsStructuredErrorWithSuggestion)
 TEST(ParseBackend, FarOffNameListsBackendsWithoutSuggestion)
 {
     const Expected<const MemoBackend *> bad =
-        parseBackend("zzzzzzzzzzzz");
+        memoBackends().resolve("zzzzzzzzzzzz");
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error().message.find("did you mean"),
               std::string::npos)
@@ -511,9 +450,6 @@ TEST(ConfigIo, EnumsSerializeSymbolically)
     const std::string json = toJson(config);
     EXPECT_NE(json.find("\"l2_policy\":\"victim\""), std::string::npos);
     EXPECT_NE(json.find("\"hash\":\"byte_sample\""), std::string::npos);
-    const ExperimentConfig parsed = roundTrip(config);
-    EXPECT_EQ(parsed.l2Policy, L2LutPolicy::Victim);
-    EXPECT_EQ(parsed.software.hash, SwHashKind::ByteSample);
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
  * Integration tests of the top-level API: the experiment runner across
- * all modes, baseline reuse, the truncation tuner, the L2-LUT cache
- * partition, and environment-driven scaling.
+ * the builtin backends, baseline reuse, the truncation tuner and the
+ * L2-LUT cache partition.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <string>
 
 #include "core/experiment.hh"
 #include "core/table.hh"
@@ -29,7 +29,7 @@ TEST(Experiment, BlackscholesSpeedsUp)
 {
     auto workload = makeWorkload("blackscholes");
     const ExperimentRunner runner(tinyConfig());
-    const Comparison cmp = runner.compare(*workload, Mode::AxMemo);
+    const Comparison cmp = runner.compare(*workload, "axmemo");
     EXPECT_GT(cmp.speedup, 1.5);
     EXPECT_GT(cmp.energyReduction, 1.2);
     EXPECT_LT(cmp.normalizedUops, 0.8);
@@ -42,7 +42,7 @@ TEST(Experiment, JmeintDoesNot)
     // The designed failure case: ~0% hit rate, ~1x speedup.
     auto workload = makeWorkload("jmeint");
     const ExperimentRunner runner(tinyConfig());
-    const Comparison cmp = runner.compare(*workload, Mode::AxMemo);
+    const Comparison cmp = runner.compare(*workload, "axmemo");
     EXPECT_LT(cmp.subject.hitRate(), 0.02);
     EXPECT_NEAR(cmp.speedup, 1.0, 0.15);
 }
@@ -51,14 +51,15 @@ TEST(Experiment, EveryModeRuns)
 {
     auto workload = makeWorkload("kmeans");
     const ExperimentRunner runner(tinyConfig());
-    for (Mode mode : {Mode::Baseline, Mode::AxMemo, Mode::AxMemoNoTrunc,
-                      Mode::SoftwareLut, Mode::Atm}) {
-        const RunResult r = runner.run(*workload, mode);
-        EXPECT_GT(r.stats.cycles, 0u) << modeName(mode);
-        EXPECT_FALSE(r.outputs.empty()) << modeName(mode);
-        if (mode != Mode::Baseline) {
-            EXPECT_GT(r.lookups, 0u) << modeName(mode);
-            EXPECT_LE(r.hits, r.lookups) << modeName(mode);
+    for (const std::string backend : {"baseline", "axmemo",
+                                      "axmemo-notrunc", "software-lut",
+                                      "atm"}) {
+        const RunResult r = runner.run(*workload, backend);
+        EXPECT_GT(r.stats.cycles, 0u) << backend;
+        EXPECT_FALSE(r.outputs.empty()) << backend;
+        if (backend != "baseline") {
+            EXPECT_GT(r.lookups, 0u) << backend;
+            EXPECT_LE(r.hits, r.lookups) << backend;
         }
     }
 }
@@ -67,11 +68,11 @@ TEST(Experiment, ScoreReusesBaseline)
 {
     auto workload = makeWorkload("sobel");
     const ExperimentRunner runner(tinyConfig());
-    const RunResult base = runner.run(*workload, Mode::Baseline);
-    const RunResult subject = runner.run(*workload, Mode::AxMemo);
+    const RunResult base = runner.run(*workload, "baseline");
+    const RunResult subject = runner.run(*workload, "axmemo");
     const Comparison viaScore =
         ExperimentRunner::score(*workload, base, subject);
-    const Comparison direct = runner.compare(*workload, Mode::AxMemo);
+    const Comparison direct = runner.compare(*workload, "axmemo");
     EXPECT_DOUBLE_EQ(viaScore.speedup, direct.speedup);
     EXPECT_DOUBLE_EQ(viaScore.qualityLoss, direct.qualityLoss);
 }
@@ -89,10 +90,10 @@ TEST(Experiment, L2LutStealsCacheWays)
     without.lut = {8 * 1024, 0};
 
     const RunResult a =
-        ExperimentRunner(with).run(*workload, Mode::Baseline);
+        ExperimentRunner(with).run(*workload, "baseline");
     // Baselines don't instantiate the LUT: both must be identical.
     const RunResult b =
-        ExperimentRunner(without).run(*workload, Mode::Baseline);
+        ExperimentRunner(without).run(*workload, "baseline");
     EXPECT_EQ(a.stats.cycles, b.stats.cycles);
 }
 
@@ -100,7 +101,7 @@ TEST(Experiment, SoftwareLutUsesMoreInstructions)
 {
     auto workload = makeWorkload("sobel");
     const ExperimentRunner runner(tinyConfig());
-    const Comparison sw = runner.compare(*workload, Mode::SoftwareLut);
+    const Comparison sw = runner.compare(*workload, "software-lut");
     EXPECT_GT(sw.normalizedUops, 1.2);
 }
 
@@ -113,9 +114,9 @@ TEST(Experiment, TruncOverrideApplies)
     heavy.truncOverride = 20;
     heavy.qualityMonitor = false;
     const RunResult a =
-        ExperimentRunner(none).run(*workload, Mode::AxMemo);
+        ExperimentRunner(none).run(*workload, "axmemo");
     const RunResult c =
-        ExperimentRunner(heavy).run(*workload, Mode::AxMemo);
+        ExperimentRunner(heavy).run(*workload, "axmemo");
     // Heavier truncation can only merge more inputs.
     EXPECT_GE(c.hits, a.hits);
 }
@@ -139,25 +140,6 @@ TEST(Experiment, TunerSweepsAndRespectsBound)
             EXPECT_LE(point.qualityLoss, 0.001);
         }
     }
-}
-
-TEST(Experiment, BenchScaleFromEnv)
-{
-    unsetenv("AXMEMO_FULL");
-    unsetenv("AXMEMO_SCALE");
-    EXPECT_DOUBLE_EQ(ExperimentRunner::benchScaleFromEnv(0.25), 0.25);
-    setenv("AXMEMO_SCALE", "0.5", 1);
-    EXPECT_DOUBLE_EQ(ExperimentRunner::benchScaleFromEnv(0.25), 0.5);
-    setenv("AXMEMO_FULL", "1", 1);
-    EXPECT_DOUBLE_EQ(ExperimentRunner::benchScaleFromEnv(0.25), 1.0);
-    unsetenv("AXMEMO_FULL");
-    unsetenv("AXMEMO_SCALE");
-}
-
-TEST(Experiment, ModeNames)
-{
-    EXPECT_STREQ(modeName(Mode::Baseline), "baseline");
-    EXPECT_STREQ(modeName(Mode::Atm), "atm");
 }
 
 TEST(TextTableTest, RendersAligned)

@@ -53,7 +53,7 @@ TEST(Json, RunResultRoundTrip)
     ExperimentConfig config;
     config.dataset.scale = 0.01;
     const RunResult r =
-        ExperimentRunner(config).run(*workload, Mode::AxMemo);
+        ExperimentRunner(config).run(*workload, "axmemo");
     const std::string json = JsonWriter::toJson(r);
 
     EXPECT_TRUE(balanced(json)) << json;
@@ -73,7 +73,7 @@ TEST(Json, ComparisonIncludesBothRuns)
     ExperimentConfig config;
     config.dataset.scale = 0.01;
     const Comparison cmp =
-        ExperimentRunner(config).compare(*workload, Mode::AxMemo);
+        ExperimentRunner(config).compare(*workload, "axmemo");
     const std::string json = JsonWriter::toJson(cmp, "sobel");
 
     EXPECT_TRUE(balanced(json));

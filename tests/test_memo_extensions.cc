@@ -138,14 +138,14 @@ TEST(AdaptiveTruncation, ImprovesHitRateOnFineGrainedData)
     config.truncOverride = 8; // too shallow for the sensor jitter
 
     const RunResult withoutAdaptive =
-        ExperimentRunner(config).run(*workload, Mode::AxMemo);
+        ExperimentRunner(config).run(*workload, "axmemo");
 
     config.adaptive.enabled = true;
     config.adaptive.profilePeriod = 500;
     config.adaptive.profileLength = 30;
     config.adaptive.targetError = 0.02;
     const RunResult withAdaptive =
-        ExperimentRunner(config).run(*workload, Mode::AxMemo);
+        ExperimentRunner(config).run(*workload, "axmemo");
 
     EXPECT_GT(withAdaptive.stats.memo.adaptiveRaises, 0u);
     EXPECT_GT(withAdaptive.hitRate(), withoutAdaptive.hitRate());

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "common/rng.hh"
 #include "memo/lut.hh"
@@ -530,15 +532,126 @@ TEST(Cache, MruScanProbeSequencesIdentical)
     EXPECT_EQ(hinted.writebacks(), fastpath.writebacks());
 }
 
+/** Plain-scan reference of LookupTable: the same set index, true-LRU
+ * stamps and victim choice (first invalid way, else the oldest), and no
+ * way hint. */
+class ScanLut
+{
+  public:
+    explicit ScanLut(const LookupTable &shape)
+        : sets_(shape.numSets()), ways_(shape.ways()),
+          entries_(static_cast<std::size_t>(sets_) * ways_)
+    {
+    }
+
+    std::optional<std::uint64_t>
+    lookup(LutId lutId, std::uint64_t hash)
+    {
+        if (Entry *e = find(lutId, hash)) {
+            e->stamp = ++stamp_;
+            ++hits_;
+            return e->data;
+        }
+        ++misses_;
+        return std::nullopt;
+    }
+
+    std::optional<LookupTable::Victim>
+    insert(LutId lutId, std::uint64_t hash, std::uint64_t data)
+    {
+        if (Entry *e = find(lutId, hash)) {
+            e->data = data;
+            e->stamp = ++stamp_;
+            return std::nullopt;
+        }
+        Entry *set = setOf(hash);
+        Entry *e = set;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (!set[w].valid) {
+                e = &set[w];
+                break;
+            }
+            if (set[w].stamp < e->stamp)
+                e = &set[w];
+        }
+        std::optional<LookupTable::Victim> victim;
+        if (e->valid)
+            victim = LookupTable::Victim{e->lutId, e->hash, e->data};
+        *e = {true, lutId, hash, data, ++stamp_};
+        return victim;
+    }
+
+    void
+    erase(LutId lutId, std::uint64_t hash)
+    {
+        if (Entry *e = find(lutId, hash))
+            e->valid = false;
+    }
+
+    void
+    invalidateLut(LutId lutId)
+    {
+        for (Entry &e : entries_)
+            if (e.lutId == lutId)
+                e.valid = false;
+    }
+
+    std::uint64_t
+    validCount() const
+    {
+        std::uint64_t n = 0;
+        for (const Entry &e : entries_)
+            n += e.valid ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        LutId lutId = 0;
+        std::uint64_t hash = 0;
+        std::uint64_t data = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    Entry *
+    setOf(std::uint64_t hash)
+    {
+        return &entries_[(hash & (sets_ - 1)) * ways_];
+    }
+
+    Entry *
+    find(LutId lutId, std::uint64_t hash)
+    {
+        Entry *set = setOf(hash);
+        for (unsigned w = 0; w < ways_; ++w)
+            if (set[w].valid && set[w].lutId == lutId &&
+                set[w].hash == hash)
+                return &set[w];
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::vector<Entry> entries_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
 TEST(Lut, MruHintSequencesIdentical)
 {
-    // Same property for the memoization LUT: identical lookup results,
+    // Same property for the memoization LUT, whose hint is always on:
+    // against the plain-scan reference, identical lookup results,
     // identical insert victims, identical counters.
     const LutConfig config{.name = "equiv", .sizeBytes = 1024,
                            .dataBytes = 4};
     LookupTable hinted(config);
-    LookupTable scanned(config);
-    scanned.setMruHintEnabled(false);
+    ScanLut scanned(hinted);
 
     Rng rng(47);
     std::vector<std::uint64_t> keys(64);

@@ -134,7 +134,7 @@ TEST(OutOfOrder, MemoizationStillWorksEndToEnd)
     config.lut = {8 * 1024, 512 * 1024};
     config.cpu.outOfOrder = true;
     const ExperimentRunner runner(config);
-    const Comparison cmp = runner.compare(*workload, Mode::AxMemo);
+    const Comparison cmp = runner.compare(*workload, "axmemo");
     EXPECT_GT(cmp.speedup, 1.2);
     EXPECT_EQ(cmp.qualityLoss, 0.0);
     EXPECT_GT(cmp.subject.hitRate(), 0.3);
@@ -150,9 +150,9 @@ TEST(OutOfOrder, BaselineFasterThanInOrder)
     oooCfg.cpu.outOfOrder = true;
 
     const RunResult a = ExperimentRunner(inOrderCfg)
-                            .run(*workload, Mode::Baseline);
+                            .run(*workload, "baseline");
     const RunResult b =
-        ExperimentRunner(oooCfg).run(*workload, Mode::Baseline);
+        ExperimentRunner(oooCfg).run(*workload, "baseline");
     EXPECT_LT(b.stats.cycles, a.stats.cycles);
 }
 

@@ -25,7 +25,7 @@ TEST(Report, RunReportContainsKeySections)
     auto workload = makeWorkload("blackscholes");
     const ExperimentConfig config = tinyConfig();
     const RunResult r =
-        ExperimentRunner(config).run(*workload, Mode::AxMemo);
+        ExperimentRunner(config).run(*workload, "axmemo");
     const std::string report = formatRunReport(r, config);
 
     for (const char *needle :
@@ -43,7 +43,7 @@ TEST(Report, BaselineReportOmitsMemoSection)
     auto workload = makeWorkload("fft");
     const ExperimentConfig config = tinyConfig();
     const RunResult r =
-        ExperimentRunner(config).run(*workload, Mode::Baseline);
+        ExperimentRunner(config).run(*workload, "baseline");
     const std::string report = formatRunReport(r, config);
     EXPECT_EQ(report.find("memoization unit"), std::string::npos);
     EXPECT_NE(report.find("cycles"), std::string::npos);
@@ -54,7 +54,7 @@ TEST(Report, SoftwareReportShowsCounters)
     auto workload = makeWorkload("fft");
     const ExperimentConfig config = tinyConfig();
     const RunResult r =
-        ExperimentRunner(config).run(*workload, Mode::SoftwareLut);
+        ExperimentRunner(config).run(*workload, "software-lut");
     const std::string report = formatRunReport(r, config);
     EXPECT_NE(report.find("software memoization"), std::string::npos);
 }
@@ -63,7 +63,7 @@ TEST(Report, ComparisonSummary)
 {
     auto workload = makeWorkload("sobel");
     const Comparison cmp =
-        ExperimentRunner(tinyConfig()).compare(*workload, Mode::AxMemo);
+        ExperimentRunner(tinyConfig()).compare(*workload, "axmemo");
     const std::string report = formatComparison(cmp, *workload);
     EXPECT_NE(report.find("speedup"), std::string::npos);
     EXPECT_NE(report.find("sobel"), std::string::npos);
@@ -74,7 +74,7 @@ TEST(Report, MisclassificationLabelled)
 {
     auto workload = makeWorkload("jmeint");
     const Comparison cmp =
-        ExperimentRunner(tinyConfig()).compare(*workload, Mode::AxMemo);
+        ExperimentRunner(tinyConfig()).compare(*workload, "axmemo");
     const std::string report = formatComparison(cmp, *workload);
     EXPECT_NE(report.find("misclassification"), std::string::npos);
 }

@@ -67,7 +67,7 @@ TEST(Sweep, ParallelMatchesSerialAcrossMatrix)
     SweepEngine engine(4);
     for (const std::string &name : workloadNames())
         for (const ExperimentConfig &config : configs)
-            engine.enqueueRun(name, Mode::AxMemo, config);
+            engine.enqueueRun(name, "axmemo", config);
     const std::vector<SweepOutcome> outcomes = engine.execute();
     ASSERT_EQ(outcomes.size(), workloadNames().size() * configs.size());
 
@@ -76,7 +76,7 @@ TEST(Sweep, ParallelMatchesSerialAcrossMatrix)
         for (std::size_t c = 0; c < configs.size(); ++c) {
             auto workload = makeWorkload(name);
             const RunResult serial = ExperimentRunner(configs[c])
-                                         .run(*workload, Mode::AxMemo);
+                                         .run(*workload, "axmemo");
             expectRunsIdentical(outcomes[next++].run, serial,
                                 name + " config " + std::to_string(c));
         }
@@ -93,12 +93,12 @@ TEST(Sweep, CachedBaselineEqualsFresh)
     // result must be bit-identical to a fresh serial baseline run.
     SweepEngine engine(3);
     ExperimentConfig config = tinyConfig();
-    engine.enqueueCompare("blackscholes", Mode::AxMemo, config);
+    engine.enqueueCompare("blackscholes", "axmemo", config);
     ExperimentConfig small = config;
     small.lut = {4 * 1024, 0};
-    engine.enqueueCompare("blackscholes", Mode::AxMemo, small);
-    engine.enqueueCompare("blackscholes", Mode::SoftwareLut, config);
-    engine.enqueueRun("blackscholes", Mode::Baseline, config);
+    engine.enqueueCompare("blackscholes", "axmemo", small);
+    engine.enqueueCompare("blackscholes", "software-lut", config);
+    engine.enqueueRun("blackscholes", "baseline", config);
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     EXPECT_EQ(engine.metrics().baselineRequests, 4u);
@@ -106,7 +106,7 @@ TEST(Sweep, CachedBaselineEqualsFresh)
 
     auto workload = makeWorkload("blackscholes");
     const RunResult fresh =
-        ExperimentRunner(config).run(*workload, Mode::Baseline);
+        ExperimentRunner(config).run(*workload, "baseline");
     expectRunsIdentical(outcomes[3].run, fresh, "cached baseline");
     for (int i = 0; i < 3; ++i)
         expectRunsIdentical(outcomes[i].cmp.baseline, fresh,
@@ -115,7 +115,7 @@ TEST(Sweep, CachedBaselineEqualsFresh)
     // The scored comparisons must match serial compare() exactly.
     auto serialWorkload = makeWorkload("blackscholes");
     const Comparison serial =
-        ExperimentRunner(small).compare(*serialWorkload, Mode::AxMemo);
+        ExperimentRunner(small).compare(*serialWorkload, "axmemo");
     EXPECT_DOUBLE_EQ(outcomes[1].cmp.speedup, serial.speedup);
     EXPECT_DOUBLE_EQ(outcomes[1].cmp.energyReduction,
                      serial.energyReduction);
@@ -129,8 +129,8 @@ TEST(Sweep, DistinctCpuConfigsGetDistinctBaselines)
     ExperimentConfig ooo = tinyConfig();
     ooo.cpu.outOfOrder = true;
     ooo.cpu.robSize = 64;
-    engine.enqueueCompare("fft", Mode::AxMemo, inOrder);
-    engine.enqueueCompare("fft", Mode::AxMemo, ooo);
+    engine.enqueueCompare("fft", "axmemo", inOrder);
+    engine.enqueueCompare("fft", "axmemo", ooo);
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     EXPECT_EQ(engine.metrics().baselineSimulations, 2u);
@@ -141,11 +141,11 @@ TEST(Sweep, DistinctCpuConfigsGetDistinctBaselines)
 TEST(Sweep, CachesPersistAcrossExecutes)
 {
     SweepEngine engine(2);
-    engine.enqueueCompare("sobel", Mode::AxMemo, tinyConfig());
+    engine.enqueueCompare("sobel", "axmemo", tinyConfig());
     const std::vector<SweepOutcome> first = engine.execute();
     EXPECT_EQ(engine.metrics().baselineSimulations, 1u);
 
-    engine.enqueueCompare("sobel", Mode::SoftwareLut, tinyConfig());
+    engine.enqueueCompare("sobel", "software-lut", tinyConfig());
     const std::vector<SweepOutcome> second = engine.execute();
     EXPECT_EQ(engine.metrics().baselineSimulations, 0u);
     EXPECT_EQ(engine.metrics().preparedPrograms, 0u);
@@ -157,12 +157,12 @@ TEST(Sweep, SingleWorkerEngineIsSerial)
 {
     SweepEngine engine(1);
     EXPECT_EQ(engine.workers(), 1u);
-    engine.enqueueRun("kmeans", Mode::AxMemo, tinyConfig());
+    engine.enqueueRun("kmeans", "axmemo", tinyConfig());
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     auto workload = makeWorkload("kmeans");
     const RunResult serial =
-        ExperimentRunner(tinyConfig()).run(*workload, Mode::AxMemo);
+        ExperimentRunner(tinyConfig()).run(*workload, "axmemo");
     expectRunsIdentical(outcomes[0].run, serial, "single worker");
     EXPECT_GE(engine.metrics().wallSeconds, 0.0);
     EXPECT_GT(engine.metrics().simulatedMacroInsts, 0u);

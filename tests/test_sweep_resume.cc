@@ -72,11 +72,11 @@ testOptions()
 void
 enqueueMatrix(SweepEngine &engine)
 {
-    engine.enqueueCompare("sobel", Mode::AxMemo, tinyConfig());
+    engine.enqueueCompare("sobel", "axmemo", tinyConfig());
     ExperimentConfig small = tinyConfig();
     small.lut = {4 * 1024, 0};
-    engine.enqueueCompare("sobel", Mode::SoftwareLut, small);
-    engine.enqueueRun("sobel", Mode::Baseline, tinyConfig());
+    engine.enqueueCompare("sobel", "software-lut", small);
+    engine.enqueueRun("sobel", "baseline", tinyConfig());
 }
 
 void
@@ -262,7 +262,7 @@ TEST(SweepResume, ConfigChangeInvalidatesJournaledJobs)
 
     SweepEngine first(testOptions());
     first.setJournal(journal.path(), /*resume=*/false);
-    first.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
+    first.enqueueRun("sobel", "axmemo", tinyConfig());
     first.execute();
     first.closeJournal(/*removeFile=*/false);
 
@@ -272,7 +272,7 @@ TEST(SweepResume, ConfigChangeInvalidatesJournaledJobs)
     changed.crcBits = 16;
     SweepEngine second(testOptions());
     EXPECT_EQ(second.setJournal(journal.path(), /*resume=*/true), 1u);
-    second.enqueueRun("sobel", Mode::AxMemo, changed);
+    second.enqueueRun("sobel", "axmemo", changed);
     const std::vector<SweepOutcome> outcomes = second.execute();
     second.closeJournal(/*removeFile=*/false);
 
@@ -288,7 +288,7 @@ TEST(SweepResume, InjectedFaultIsRetriedThenSucceeds)
     options.faultInject = "sobel:1"; // fail the first attempt only
 
     SweepEngine engine(options);
-    engine.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
+    engine.enqueueRun("sobel", "axmemo", tinyConfig());
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     ASSERT_EQ(outcomes.size(), 1u);
@@ -299,7 +299,7 @@ TEST(SweepResume, InjectedFaultIsRetriedThenSucceeds)
 
     // The retried result must equal a clean run's.
     SweepEngine clean(testOptions());
-    clean.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
+    clean.enqueueRun("sobel", "axmemo", tinyConfig());
     expectOutcomesEqual(outcomes[0], clean.execute()[0],
                         "retried vs clean");
 }
@@ -311,8 +311,8 @@ TEST(SweepResume, PersistentFaultExhaustsRetriesAndIsContained)
     options.faultInject = "sobel"; // fail every attempt
 
     SweepEngine engine(options);
-    engine.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
-    engine.enqueueRun("fft", Mode::AxMemo, tinyConfig());
+    engine.enqueueRun("sobel", "axmemo", tinyConfig());
+    engine.enqueueRun("fft", "axmemo", tinyConfig());
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     ASSERT_EQ(outcomes.size(), 2u);
@@ -335,8 +335,8 @@ TEST(SweepResume, FailedJobsAreNotJournaled)
 
     SweepEngine engine(options);
     engine.setJournal(journal.path(), /*resume=*/false);
-    engine.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
-    engine.enqueueRun("fft", Mode::AxMemo, tinyConfig());
+    engine.enqueueRun("sobel", "axmemo", tinyConfig());
+    engine.enqueueRun("fft", "axmemo", tinyConfig());
     engine.execute();
     engine.closeJournal(/*removeFile=*/false);
 
@@ -354,7 +354,7 @@ TEST(SweepResume, ExpiredWatchdogClassifiesTimedOutWithoutRetry)
     config.dataset.scale = 1.0; // enough work to reach a poll point
 
     SweepEngine engine(options);
-    engine.enqueueRun("blackscholes", Mode::AxMemo, config);
+    engine.enqueueRun("blackscholes", "axmemo", config);
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
     ASSERT_EQ(outcomes.size(), 1u);
@@ -371,7 +371,7 @@ TEST(SweepResume, InterruptSkipsRemainingJobs)
     RuntimeOptions options = testOptions();
     options.jobs = 1;
     SweepEngine engine(options);
-    engine.enqueueRun("sobel", Mode::AxMemo, tinyConfig());
+    engine.enqueueRun("sobel", "axmemo", tinyConfig());
     const std::vector<SweepOutcome> outcomes = engine.execute();
     setInterruptForTest(0);
 
@@ -602,8 +602,8 @@ TEST(SweepResume, AppendOpenOnFreshPathWritesExactlyOneHeader)
     // header — and a reopen must not write a second one.
     TempFile journal("append_fresh.ckpt");
     SweepEngine engine(testOptions());
-    engine.enqueueRun("sobel", Mode::Baseline, tinyConfig());
-    engine.enqueueRun("fft", Mode::Baseline, tinyConfig());
+    engine.enqueueRun("sobel", "baseline", tinyConfig());
+    engine.enqueueRun("fft", "baseline", tinyConfig());
     const std::vector<SweepJob> jobs = engine.pending();
     const std::vector<SweepOutcome> outcomes = engine.execute();
     ASSERT_EQ(outcomes.size(), 2u);

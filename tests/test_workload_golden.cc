@@ -23,7 +23,7 @@ runBaseline(const char *name, double scale = 0.01)
     auto workload = makeWorkload(name);
     ExperimentConfig config;
     config.dataset.scale = scale;
-    return ExperimentRunner(config).run(*workload, Mode::Baseline);
+    return ExperimentRunner(config).run(*workload, "baseline");
 }
 
 TEST(Golden, BlackscholesMatchesClosedForm)

@@ -155,7 +155,7 @@ TEST_P(WorkloadTest, MemoizationWithoutTruncationIsExact)
     const ExperimentRunner runner(config);
     auto workload = makeWorkload(GetParam());
     const Comparison cmp =
-        runner.compare(*workload, Mode::AxMemoNoTrunc);
+        runner.compare(*workload, "axmemo-notrunc");
     EXPECT_EQ(cmp.qualityLoss, 0.0);
     EXPECT_GT(cmp.subject.lookups, 0u);
 }
@@ -170,7 +170,7 @@ TEST_P(WorkloadTest, QualityWithinPaperBounds)
     config.lut = {8 * 1024, 512 * 1024};
     const ExperimentRunner runner(config);
     auto workload = makeWorkload(GetParam());
-    const Comparison cmp = runner.compare(*workload, Mode::AxMemo);
+    const Comparison cmp = runner.compare(*workload, "axmemo");
     const double bound = workload->imageOutput() ? 0.05 : 0.01;
     EXPECT_LE(cmp.qualityLoss, bound);
     EXPECT_FALSE(cmp.subject.stats.memo.monitorTripped);

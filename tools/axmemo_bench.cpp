@@ -196,8 +196,8 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
                 std::printf("\n");
             const std::unique_ptr<Artifact> artifact =
                 registry.make(names[i]);
-            // Per-artifact phase isolation: the manifest's "phases" and
-            // the profile view report this run only.
+            // Per-artifact phase isolation: the profile view reports
+            // this run only.
             obs::Profiler::instance().reset();
             const Expected<ArtifactRunRecord> record =
                 runArtifact(*artifact, opts);
