@@ -270,8 +270,9 @@ BENCHMARK(BM_MemoUnitLookupUpdate);
 //
 // The disabled-instrumentation budget (<= 0.5%) is the time of a guard
 // row over BM_GuardBaseline: the same dependent-multiply loop with a
-// trace point or a span scope in its body. Under AXMEMO_NO_TRACE both
-// guards compile away and the enabled rows are not registered. Rows
+// trace point or a span scope in its body. Under AXMEMO_NO_TRACE the
+// trace guard compiles away and the enabled trace row is not
+// registered; spans are compiled into every build. Rows
 // that would touch instrumentation the caller has switched on (flags
 // from --debug-flags, a --trace-timeline recording) skip instead of
 // measuring, so `axmemo run` never alters the run's own traces.
@@ -365,6 +366,8 @@ BM_TraceLineEnabled(benchmark::State &state)
 }
 BENCHMARK(BM_TraceLineEnabled);
 
+#endif // AXMEMO_NO_TRACE
+
 /** One recorded span: open, close and the ring push on the recording
  * thread. The ring is drained (and the events dropped) with the timer
  * paused, before it can fill, so the row never measures the
@@ -394,8 +397,6 @@ BM_SpanEnabled(benchmark::State &state)
     telemetry::detail::drainAll(drained);
 }
 BENCHMARK(BM_SpanEnabled);
-
-#endif // AXMEMO_NO_TRACE
 
 } // namespace
 

@@ -285,7 +285,7 @@ RuntimeOptions::describeKnobs()
            "  AXMEMO_SWEEP_DIR    --out <dir>        .                 "
            "output directory for reports and manifest\n"
            "  AXMEMO_DEBUG        --debug-flags <s>  (off)             "
-           "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof,Host|All\n"
+           "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Host|All\n"
            "  AXMEMO_RETRIES      --retries <n>      1                 "
            "per-job retries after a failure (not timeouts)\n"
            "  AXMEMO_JOB_TIMEOUT  --job-timeout <s>  0 (off)           "

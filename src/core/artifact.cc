@@ -14,7 +14,7 @@
 #include "core/run_journal.hh"
 #include "core/run_stats.hh"
 #include "core/shard_queue.hh"
-#include "obs/profiler.hh"
+#include "obs/span.hh"
 
 namespace axmemo {
 
@@ -330,7 +330,7 @@ runArtifact(Artifact &artifact, const ArtifactRunOptions &options)
 
     SweepEngine engine(options.runtime);
     try {
-        AXM_PROF("artifact.enqueue");
+        AXM_SPAN("phase", "artifact.enqueue");
         artifact.enqueue(engine);
     } catch (const AxException &e) {
         return e.error();
@@ -378,7 +378,7 @@ runArtifact(Artifact &artifact, const ArtifactRunOptions &options)
     }
     std::vector<SweepOutcome> outcomes;
     {
-        AXM_PROF("artifact.execute");
+        AXM_SPAN("phase", "artifact.execute");
         outcomes = engine.execute();
     }
     // A fully successful sweep needs no checkpoint; anything faulted
@@ -411,7 +411,7 @@ runArtifact(Artifact &artifact, const ArtifactRunOptions &options)
     }
     ArtifactResult result;
     try {
-        AXM_PROF("artifact.reduce");
+        AXM_SPAN("phase", "artifact.reduce");
         result = artifact.reduce(outcomes);
     } catch (const AxException &e) {
         return e.error();
@@ -419,7 +419,7 @@ runArtifact(Artifact &artifact, const ArtifactRunOptions &options)
         return Error{ErrorCode::Internal, "artifact",
                      name + ": reduce threw: " + e.what()};
     }
-    AXM_PROF("artifact.emit");
+    AXM_SPAN("phase", "artifact.emit");
 
     if (result.jsonRows.empty() && !jobs.empty())
         result.jsonRows = defaultRows(jobs, outcomes);

@@ -19,7 +19,9 @@
  * EWMA rates in the newest snapshot of every live worker.
  *
  * The same file hosts the timeline stitcher `axmemo merge` uses to
- * splice per-worker Chrome-trace files into one fleet timeline.
+ * splice per-worker Chrome-trace files (telemetry::renderTimeline()
+ * documents the driver writes through atomicWriteFile) into one fleet
+ * timeline.
  */
 
 #ifndef AXMEMO_CORE_FLEET_STATUS_HH
@@ -101,10 +103,11 @@ std::string renderFleetJson(const FleetStatus &fleet);
 
 /**
  * Splice per-worker timeline files into one Chrome-trace document.
- * Each input must be a complete telemetry::writeTimeline() product
- * (validated before splicing; damaged files are skipped and counted
- * in @p damaged when non-null). @p extraDocument optionally appends
- * the calling process's own renderTimeline() output as one more lane.
+ * Each input must be a file holding one complete
+ * telemetry::renderTimeline() document (validated before splicing;
+ * damaged files are skipped and counted in @p damaged when non-null).
+ * @p extraDocument optionally appends the calling process's own
+ * renderTimeline() output as one more lane.
  */
 std::string stitchTimelines(const std::vector<std::string> &paths,
                             const std::string &extraDocument = {},

@@ -9,6 +9,11 @@ namespace axmemo {
 
 namespace {
 
+/** Deepest nesting accepted. The parser recurses once per '[' or '{',
+ * so untrusted input must not pick the stack depth; the program's own
+ * documents nest under 10 deep. */
+constexpr int maxDepth = 256;
+
 /** Recursive-descent parser over one text; see header. */
 class Parser
 {
@@ -65,8 +70,17 @@ class Parser
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         switch (text_[pos_]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            if (depth_ == maxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(maxDepth));
+            ++depth_;
+            const bool ok = text_[pos_] == '{' ? parseObject(out)
+                                                : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind = JValue::Kind::String;
             return parseString(out.token);
@@ -242,6 +256,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     std::string error_;
 };
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * Minimal strict JSON value parser (RFC 8259 subset), shared by the
- * canonical config deserializer (core/config_io) and the sweep journal
- * (core/run_journal). Extracted from config_io.cc when the journal
- * needed to parse its own lines; still no external dependency.
+ * Minimal strict JSON value parser (RFC 8259 subset), with no external
+ * dependency. It reads bytes this process did not write — journal
+ * segments on --resume and merge (core/run_journal), metrics JSONL,
+ * claim bodies, shard manifests and timeline segments
+ * (core/fleet_status) — so malformed input of any shape, nesting
+ * deeper than a fixed cap included, is a Parse error.
  *
  * Numbers keep their raw token so integer consumers can convert
  * losslessly (strtod would clip a 64-bit seed) and doubles round-trip

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "core/config_io.hh"
+#include "core/json_export.hh"
 #include "core/json_value.hh"
 #include "core/memo_backends.hh"
 #include "core/output_paths.hh"
@@ -55,24 +56,7 @@ void
 appendEscaped(std::string &out, const std::string &s)
 {
     out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    out += JsonWriter::escape(s);
     out += '"';
 }
 

@@ -17,7 +17,6 @@
 #include "core/output_paths.hh"
 #include "core/run_journal.hh"
 #include "core/shard_queue.hh"
-#include "obs/profiler.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 
@@ -384,10 +383,10 @@ SweepEngine::execute()
     AXM_TRACE(Sweep, "sweep", "phase prepare: ", toPrepare.size(),
               " new program(s), ", jobs_.size(), " job(s) pending");
     {
-        AXM_PROF("sweep.prepare");
+        AXM_SPAN("phase", "sweep.prepare");
         const std::function<void(std::size_t)> fn =
             [&](std::size_t i) {
-                AXM_PROF("sweep.prepare.job");
+                AXM_SPAN("phase", "sweep.prepare.job");
                 PreparedEntry &entry = *toPrepare[i];
                 const SweepJob &job = *prepareSource[i];
                 if (interruptRequested()) {
@@ -419,7 +418,7 @@ SweepEngine::execute()
                                     ? secondsSince(start)
                                     : 0.0;
                 // Host seconds stay out of the trace (byte-reproducible
-                // serial traces); timing lives in the phase profiler.
+                // serial traces); timing lives in the phase spans.
                 AXM_TRACE(Sweep, "sweep", "prepared ", job.workload);
             };
         for (std::size_t i = 0; i < toPrepare.size(); ++i)
@@ -464,10 +463,10 @@ SweepEngine::execute()
               metrics_.baselineRequests - toSimulate.size(),
               " served from cache or journal");
     {
-        AXM_PROF("sweep.baseline");
+        AXM_SPAN("phase", "sweep.baseline");
         const std::function<void(std::size_t)> fn =
             [&](std::size_t i) {
-                AXM_PROF("sweep.baseline.job");
+                AXM_SPAN("phase", "sweep.baseline.job");
                 BaselineEntry &entry = *toSimulate[i];
                 const SweepJob &job = *baselineSource[i];
                 if (entry.prepared->failed) {
@@ -530,11 +529,11 @@ SweepEngine::execute()
     // ---- Phase C: subject runs, results in submission order.
     AXM_TRACE(Sweep, "sweep", "phase subject: ", jobs_.size(), " job(s)");
     {
-        AXM_PROF("sweep.subject");
+        AXM_SPAN("phase", "sweep.subject");
         const std::function<void(std::size_t)> fn = [&](std::size_t i) {
             if (handled[i])
                 return; // replayed from the journal in phase R
-            AXM_PROF("sweep.subject.job");
+            AXM_SPAN("phase", "sweep.subject.job");
             AXM_SPAN("job", jobs_[i].workload);
             const SweepJob &job = jobs_[i];
             SweepOutcome &out = results[i];

@@ -60,8 +60,10 @@ registryMutex()
 std::vector<SpanBuffer *> &
 registry()
 {
-    static std::vector<SpanBuffer *> buffers;
-    return buffers;
+    // Never destroyed, like the buffers it lists: an exited worker's
+    // buffer stays reachable through it until the process ends.
+    static auto *buffers = new std::vector<SpanBuffer *>;
+    return *buffers;
 }
 
 thread_local SpanBuffer *tlsBuffer = nullptr;
@@ -155,11 +157,7 @@ drainAll(std::vector<SpanEvent> &out)
 void
 setEnabled(bool on)
 {
-#ifdef AXMEMO_NO_TRACE
-    (void)on;
-#else
     detail::recording.store(on, std::memory_order_relaxed);
-#endif
 }
 
 namespace {

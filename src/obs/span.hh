@@ -1,14 +1,16 @@
 /**
  * @file
- * Hierarchical run-timeline spans (DESIGN.md §13).
+ * Hierarchical run-timeline spans (DESIGN.md §13), the one host-timing
+ * primitive.
  *
  * The trace flags (obs/trace.hh) answer "what happened, event by
- * event"; the phase profiler (obs/profiler.hh) answers "where did the
- * wall clock go, in aggregate". Spans answer the question between the
- * two: *when* did each sweep round, job and pipeline phase run, on
- * which worker thread, nested under what — the timeline view that
- * Perfetto / chrome://tracing renders, and the per-worker lane data
- * `axmemo merge` stitches across a shard fleet.
+ * event" in simulated cycles. Spans answer the host-time questions:
+ * *when* did each sweep round, job and pipeline phase run, on which
+ * worker thread, nested under what — the timeline view that Perfetto /
+ * chrome://tracing renders, and the per-worker lane data `axmemo
+ * merge` stitches across a shard fleet — and, aggregated over the
+ * "phase" category, where the wall clock went (the `axmemo profile`
+ * table, obs/telemetry.hh).
  *
  * A span is an RAII scope (`AXM_SPAN("job", workload)`): construction
  * stamps a start time, allocates a span id, and pushes itself as the
@@ -16,10 +18,11 @@
  * SpanEvent record to the calling thread's ring buffer. The buffers are
  * single-producer/single-consumer: the owning thread appends with
  * release stores, the telemetry collector (obs/telemetry.hh) drains
- * with acquire loads, no lock on the hot path. When telemetry is
- * disabled — the default — a span costs one relaxed atomic load and a
- * predictable branch, the same budget as a disabled trace point, and
- * under -DAXMEMO_NO_TRACE the whole thing compiles away.
+ * with acquire loads, no lock on the hot path. When recording is
+ * disarmed — the default — a span costs one relaxed atomic load and a
+ * predictable branch, the same budget as a disabled trace point.
+ * Spans are compiled into every build: the trace layer's compile-time
+ * kill switch removes only AXM_TRACE points.
  */
 
 #ifndef AXMEMO_OBS_SPAN_HH
@@ -74,25 +77,16 @@ std::uint64_t nowUs();
 std::uint64_t drainAll(std::vector<SpanEvent> &out);
 } // namespace detail
 
-#ifdef AXMEMO_NO_TRACE
-
-/** Compile-time kill switch shared with the trace layer: span scopes
- * fold to empty objects and every span point dead-code-eliminates. */
-constexpr bool enabled() { return false; }
-
-#else
-
-/** @return true iff span recording is armed (--trace-timeline). */
+/** @return true iff span recording is armed (--trace-timeline,
+ * `axmemo profile`). */
 inline bool
 enabled()
 {
     return detail::recording.load(std::memory_order_relaxed);
 }
 
-#endif // AXMEMO_NO_TRACE
-
 /** Arm or disarm span recording process-wide (obs/telemetry.hh owns
- * the drained data; this is a no-op under AXMEMO_NO_TRACE). */
+ * the drained data). */
 void setEnabled(bool on);
 
 /**

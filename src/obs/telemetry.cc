@@ -1,5 +1,6 @@
 #include "obs/telemetry.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -21,6 +22,11 @@ struct Store
     std::mutex mutex;
     std::vector<SpanEvent> events;
     std::uint64_t dropped = 0;
+
+    // Where the previous phase table stopped: events before this index
+    // and drops up to this count are already reported.
+    std::size_t tableCursor = 0;
+    std::uint64_t tableDropped = 0;
 
     // Metrics-snapshot routing + EWMA state (heartbeat cadence).
     std::string snapshotPath;
@@ -291,31 +297,103 @@ renderTimeline(const std::string &processLabel)
     return out;
 }
 
-bool
-writeTimeline(const std::string &path, const std::string &processLabel,
-              std::string *error)
+namespace {
+
+/** Calls and µs of one phase, merged (thread "") or on one thread. */
+struct PhaseCell
 {
-    const std::string document = renderTimeline(processLabel);
-    // Self-contained temp+rename (obs cannot reach the core output
-    // helpers): readers only ever see a complete document.
-    const std::string temp = path + ".tmp";
-    FILE *f = std::fopen(temp.c_str(), "w");
-    if (!f) {
-        if (error)
-            *error = "cannot open " + temp;
-        return false;
+    std::string phase;
+    std::string thread;
+    std::uint64_t calls = 0;
+    std::uint64_t us = 0;
+};
+
+/** The cell for (@p phase, @p thread), appended on first sight so the
+ * vector keeps first-close order. */
+PhaseCell &
+cellFor(std::vector<PhaseCell> &cells, const char *phase,
+        const char *thread)
+{
+    for (PhaseCell &cell : cells)
+        if (cell.phase == phase && cell.thread == thread)
+            return cell;
+    cells.push_back({phase, thread});
+    return cells.back();
+}
+
+} // namespace
+
+std::string
+renderPhaseTable()
+{
+    std::vector<SpanEvent> phases;
+    std::uint64_t dropped = 0;
+    {
+        Store &s = store();
+        std::lock_guard<std::mutex> lock(s.mutex);
+        collectLocked(s);
+        for (std::size_t i = s.tableCursor; i < s.events.size(); ++i) {
+            const SpanEvent &event = s.events[i];
+            if (event.kind == SpanEvent::Kind::Span &&
+                std::strcmp(event.category, "phase") == 0)
+                phases.push_back(event);
+        }
+        dropped = s.dropped - s.tableDropped;
+        s.tableCursor = s.events.size();
+        s.tableDropped = s.dropped;
     }
-    const bool wrote =
-        std::fwrite(document.data(), 1, document.size(), f) ==
-        document.size();
-    const bool closed = std::fclose(f) == 0;
-    if (!wrote || !closed || std::rename(temp.c_str(), path.c_str()) != 0) {
-        std::remove(temp.c_str());
-        if (error)
-            *error = "cannot write " + path;
-        return false;
+    // Rings drain thread by thread; order by close time instead. The
+    // sort is stable, so one thread's events keep their ring order.
+    std::stable_sort(phases.begin(), phases.end(),
+                     [](const SpanEvent &a, const SpanEvent &b) {
+                         return a.startUs + a.durUs < b.startUs + b.durUs;
+                     });
+    std::vector<PhaseCell> byPhase;
+    std::vector<PhaseCell> byThread;
+    for (const SpanEvent &event : phases) {
+        PhaseCell &total = cellFor(byPhase, event.name, "");
+        ++total.calls;
+        total.us += event.durUs;
+        PhaseCell &own = cellFor(byThread, event.name, event.thread);
+        ++own.calls;
+        own.us += event.durUs;
     }
-    return true;
+    std::uint64_t maxUs = 0;
+    for (const PhaseCell &p : byPhase)
+        maxUs = std::max(maxUs, p.us);
+
+    std::string out;
+    char buf[192];
+    std::snprintf(buf, sizeof(buf), "%-32s %10s %14s %8s\n", "phase",
+                  "calls", "seconds", "rel");
+    out += buf;
+    for (const PhaseCell &p : byPhase) {
+        const double rel =
+            maxUs > 0 ? static_cast<double>(p.us) / maxUs : 0.0;
+        std::snprintf(buf, sizeof(buf), "%-32s %10" PRIu64 " %14.6f %7.1f%%\n",
+                      p.phase.c_str(), p.calls, p.us * 1e-6, rel * 100.0);
+        out += buf;
+        // Per-worker breakdown, shown only when the phase ran on
+        // labelled threads.
+        for (const PhaseCell &cell : byThread) {
+            if (cell.phase != p.phase || cell.thread.empty())
+                continue;
+            std::snprintf(buf, sizeof(buf), "  %-30s %10" PRIu64 " %14.6f\n",
+                          ("[" + cell.thread + "]").c_str(), cell.calls,
+                          cell.us * 1e-6);
+            out += buf;
+        }
+    }
+    if (byPhase.empty())
+        out += "(no phases recorded)\n";
+    if (dropped) {
+        std::snprintf(buf, sizeof(buf),
+                      "(%" PRIu64 " span events lost to ring overflow; "
+                      "totals undercount)\n",
+                      dropped);
+        out += buf;
+    }
+    return out;
 }
 
 MetricsCounters &
@@ -359,6 +437,8 @@ resetForTest()
     collectLocked(s);
     s.events.clear();
     s.dropped = 0;
+    s.tableCursor = 0;
+    s.tableDropped = 0;
     s.snapshotPath.clear();
     s.workerId.clear();
     s.lastBeatUs = 0;

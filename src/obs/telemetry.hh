@@ -1,25 +1,29 @@
 /**
  * @file
- * Telemetry collection: timeline export and per-worker metrics
- * snapshots (DESIGN.md §13).
+ * Telemetry collection: timeline export, the phase table and
+ * per-worker metrics snapshots (DESIGN.md §13).
  *
- * Two consumers sit on top of the span rings (obs/span.hh):
+ * The collector drains every thread's span ring (obs/span.hh) into a
+ * process-wide store, which two readers render:
  *
- *  - The **timeline exporter** drains every thread's ring into a
- *    process-wide store and renders it as Chrome-trace / Perfetto JSON
- *    (`{"traceEvents":[...],"displayTimeUnit":"ms"}`): one process
- *    lane per worker process (pid + process_name metadata), one thread
- *    track per sweep worker, "X" complete events for spans and "C"
- *    events for counters. `axmemo run --trace-timeline <file>` writes
- *    one file per process; `axmemo merge` stitches the per-worker
- *    files into a single fleet timeline (src/core/fleet_status.cc).
+ *  - The **timeline exporter** renders the store as Chrome-trace /
+ *    Perfetto JSON (`{"traceEvents":[...],"displayTimeUnit":"ms"}`):
+ *    one process lane per worker process (pid + process_name
+ *    metadata), one thread track per sweep worker, "X" complete events
+ *    for spans and "C" events for counters. `axmemo run
+ *    --trace-timeline <file>` writes one file per process; `axmemo
+ *    merge` stitches the per-worker files into a single fleet timeline
+ *    (src/core/fleet_status.cc).
  *
- *  - The **metrics snapshotter** turns a handful of always-on relaxed
- *    counters (jobs done, macro-instructions, memo hits, LUT
- *    occupancy) into periodic JSONL snapshots
- *    (`<shard-dir>/metrics.<worker>.jsonl`), appended one whole line
- *    at a time on the shard-lease heartbeat cadence so `axmemo status`
- *    can read fleet throughput without touching the workers.
+ *  - The **phase table** aggregates the "phase" spans per phase and
+ *    per worker thread — the `axmemo profile` report.
+ *
+ * Beside them, the **metrics snapshotter** turns a handful of
+ * always-on relaxed counters (jobs done, macro-instructions, memo
+ * hits, LUT occupancy) into periodic JSONL snapshots
+ * (`<shard-dir>/metrics.<worker>.jsonl`), appended one whole line at a
+ * time on the shard-lease heartbeat cadence so `axmemo status` can
+ * read fleet throughput without touching the workers.
  *
  * Like the rest of obs, this layer depends on nothing outside
  * src/obs and the C++ standard library.
@@ -44,7 +48,7 @@ constexpr char timelinePrefix[] = "{\"traceEvents\":[\n";
 constexpr char timelineSuffix[] = "\n],\"displayTimeUnit\":\"ms\"}\n";
 
 /** Drain every span ring into the process-wide event store. Cheap when
- * nothing new was recorded; called by renderTimeline and heartbeat. */
+ * nothing new was recorded; every reader below calls it first. */
 void collect();
 
 /** Copy of the collected event store (drains first). Test hook. */
@@ -61,12 +65,14 @@ std::uint64_t droppedEvents();
 std::string renderTimeline(const std::string &processLabel);
 
 /**
- * Atomically write renderTimeline() output to @p path (temp file +
- * rename, same crash-safety contract as the report writers).
- * @return false with @p error filled on I/O failure.
+ * Render the "phase" spans closed since the previous call (the first
+ * call covers all so far) as the `axmemo profile` table: per phase, in
+ * first-close order, the call count, total seconds and share of the
+ * longest phase, then one `[wN]` row per labelled worker thread that
+ * closed it. A footer counts the events lost to ring overflow in the
+ * same window, when there were any.
  */
-bool writeTimeline(const std::string &path, const std::string &processLabel,
-                   std::string *error = nullptr);
+std::string renderPhaseTable();
 
 /**
  * Always-on run counters feeding the metrics snapshots. Relaxed

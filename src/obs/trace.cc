@@ -42,7 +42,6 @@ flagName(Flag flag)
       case Flag::Dram: return "Dram";
       case Flag::Lut: return "Lut";
       case Flag::Sweep: return "Sweep";
-      case Flag::Prof: return "Prof";
       case Flag::Host: return "Host";
       case Flag::NumFlags: break;
     }
@@ -111,7 +110,7 @@ enableFlags(const std::string &spec, std::string *error)
             if (error) {
                 *error = "unknown debug flag '" + name +
                          "' (known: Exec, Memo, Cache, Dram, Lut, "
-                         "Sweep, Prof, Host, All)";
+                         "Sweep, Host, All)";
             }
             return false;
         }

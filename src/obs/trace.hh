@@ -4,8 +4,8 @@
  *
  * Tracing is a debugging instrument, not a reporting channel: every trace
  * point in the simulator is guarded by Trace-flag checks that cost one
- * predictable branch on a cached word when tracing is disabled, and the
- * whole subsystem compiles away under -DAXMEMO_NO_TRACE. Flags are
+ * predictable branch on a cached word when tracing is disabled, and
+ * every trace point compiles away under -DAXMEMO_NO_TRACE. Flags are
  * selected at runtime (`axmemo --debug-flags=Exec,Memo` or the
  * AXMEMO_DEBUG environment variable) and every emitted line carries a
  * gem5-like `cycle: component: message` prefix, so serial traces are
@@ -54,7 +54,6 @@ enum class Flag : unsigned
     Dram,  ///< DRAM row hits/misses
     Lut,   ///< lookup-table internals: insert/evict/invalidate
     Sweep, ///< sweep engine: phases, job lifecycle, cache reuse
-    Prof,  ///< phase-timer begin/end events
     Host,  ///< host-side execution paths (dispatch mode, CRC kernel)
     NumFlags
 };

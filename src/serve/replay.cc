@@ -10,6 +10,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "core/json_export.hh"
+
 namespace axmemo {
 namespace serve {
 
@@ -218,7 +220,7 @@ ReplayReport::toJson() const
         const ReplayTenantReport &t = tenants[i];
         if (i)
             out << ",";
-        out << "{\"name\":\"" << t.name
+        out << "{\"name\":\"" << JsonWriter::escape(t.name)
             << "\",\"lookups\":" << t.lookups << ",\"hits\":" << t.hits
             << ",\"misses\":" << t.misses
             << ",\"hit_rate\":" << t.hitRate()

@@ -15,6 +15,7 @@
 #include "common/log.hh"
 #include "common/run_control.hh"
 #include "core/experiment.hh"
+#include "core/json_export.hh"
 #include "core/output_paths.hh"
 #include "obs/span.hh"
 #include "workloads/workload.hh"
@@ -556,7 +557,9 @@ MemoServer::statsJson() const
             const Distribution &d = latencyUs_[i];
             if (i)
                 out << ",";
-            out << "\"" << table_.spec(static_cast<std::uint16_t>(i)).name
+            out << "\""
+                << JsonWriter::escape(
+                       table_.spec(static_cast<std::uint16_t>(i)).name)
                 << "\":{\"samples\":" << d.count();
             if (config_.reportTiming)
                 out << ",\"mean\":" << d.mean()

@@ -27,7 +27,7 @@ unset AXMEMO_FULL 2>/dev/null || true
 unset AXMEMO_DEBUG 2>/dev/null || true
 export AXMEMO_JOBS=1
 
-simflags="Memo,Dram,Lut,Sweep,Prof"
+simflags="Memo,Dram,Lut,Sweep"
 
 run() {
     local name="$1" dispatch="$2" nobatch="$3" nosimd="$4" flags="$5"

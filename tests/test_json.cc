@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/json_export.hh"
+#include "core/json_value.hh"
 
 namespace axmemo {
 namespace {
@@ -45,6 +48,30 @@ TEST(Json, EscapeSpecials)
     EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
     EXPECT_EQ(JsonWriter::escape(std::string(1, '\x01')), "\\u0001");
     EXPECT_EQ(JsonWriter::escape("plain"), "plain");
+}
+
+TEST(Json, DeepNestingIsAParseErrorNotACrash)
+{
+    // One '[' or '{' per recursion level: without a depth cap these
+    // lines would overflow the parser's stack.
+    constexpr std::size_t depth = 100000;
+    std::string arrays(depth, '[');
+    std::string objects;
+    objects.reserve(depth * 5);
+    for (std::size_t i = 0; i < depth; ++i)
+        objects += "{\"a\":";
+    for (const std::string &text : {arrays, objects}) {
+        const Expected<JValue> parsed = parseJsonValue(text);
+        ASSERT_FALSE(parsed.ok());
+        EXPECT_EQ(parsed.error().code, ErrorCode::Parse);
+        EXPECT_NE(parsed.error().message.find("nesting"),
+                  std::string::npos)
+            << parsed.error().message;
+    }
+
+    // Documents nested well within the cap still parse.
+    const std::string shallow = std::string(64, '[') + std::string(64, ']');
+    EXPECT_TRUE(parseJsonValue(shallow).ok());
 }
 
 TEST(Json, RunResultRoundTrip)

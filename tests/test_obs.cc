@@ -2,11 +2,12 @@
  * @file
  * Unit tests for the observability subsystem (src/obs): distribution
  * statistics and the stats.txt/JSON renderers, gem5-style debug flags
- * and the trace sink, phase timers, and the shared line writer.
+ * and the trace sink, the `axmemo profile` phase table built from
+ * "phase" spans, and the shared line writer.
  *
  * Trace-behavior tests (flag guards, emitted lines) are compiled out
  * under AXMEMO_NO_TRACE, where enabled() is constexpr false by design;
- * the statistics and profiler tests run in both configurations.
+ * the statistics and phase-table tests run in both configurations.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +20,8 @@
 #include <thread>
 #include <vector>
 
-#include "obs/profiler.hh"
 #include "obs/stats.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 
 namespace axmemo {
@@ -441,64 +442,170 @@ TEST(ObsSink, LogLineAppendsNewlineAndThreadLabel)
     EXPECT_EQ(err, "plain line\n[w7] labelled line\n");
 }
 
-// ------------------------------------------------------------ profiler
+// --------------------------------------------------------- phase table
 
-TEST(Profiler, AggregatesScopedPhases)
+/** One parsed phase-table row: name (or "[wN]") and its call count. */
+struct TableRow
 {
-    obs::Profiler &prof = obs::Profiler::instance();
-    prof.reset();
-    {
-        AXM_PROF("obs.test.alpha");
-    }
-    {
-        AXM_PROF("obs.test.alpha");
-    }
-    {
-        AXM_PROF("obs.test.beta");
-    }
-    const std::vector<obs::PhaseTiming> cells = prof.snapshotByPhase();
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_EQ(cells[0].phase, "obs.test.alpha");
-    EXPECT_EQ(cells[0].calls, 2u);
-    EXPECT_GE(cells[0].seconds, 0.0);
-    EXPECT_EQ(cells[1].phase, "obs.test.beta");
-    EXPECT_EQ(cells[1].calls, 1u);
+    std::string name;
+    unsigned long long calls = 0;
+    bool worker = false;
+};
 
-    EXPECT_NE(prof.renderText().find("obs.test.alpha"),
-              std::string::npos);
-
-    prof.reset();
-    EXPECT_TRUE(prof.snapshot().empty());
+/** The rows of a renderPhaseTable() document, header and footer
+ * excluded, in printed order. */
+std::vector<TableRow>
+tableRows(const std::string &table)
+{
+    std::vector<TableRow> rows;
+    std::istringstream in(table);
+    std::string line;
+    std::getline(in, line); // header
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '(')
+            continue;
+        TableRow row;
+        std::istringstream fields(line);
+        fields >> row.name >> row.calls;
+        row.worker = row.name[0] == '[';
+        rows.push_back(row);
+    }
+    return rows;
 }
 
-TEST(Profiler, SeparatesWorkerThreadsAndMergesByPhase)
+/** Record @p body's spans into a fresh store and return the table. */
+template <typename Body>
+std::string
+phaseTableOf(Body body)
 {
-    obs::Profiler &prof = obs::Profiler::instance();
-    prof.reset();
-    {
-        AXM_PROF("obs.test.threaded");
-    }
-    std::thread worker([] {
-        obs::setThreadLabel(3);
+    telemetry::resetForTest();
+    telemetry::setEnabled(true);
+    body();
+    telemetry::setEnabled(false);
+    const std::string table = telemetry::renderPhaseTable();
+    telemetry::resetForTest();
+    return table;
+}
+
+TEST(PhaseTable, CountsCallsInFirstCloseOrder)
+{
+    const std::string table = phaseTableOf([] {
         {
-            AXM_PROF("obs.test.threaded");
+            AXM_SPAN("phase", "obs.test.outer");
+            AXM_SPAN("phase", "obs.test.inner"); // closes first
         }
-        obs::clearThreadLabel();
+        {
+            AXM_SPAN("phase", "obs.test.outer");
+        }
     });
-    worker.join();
+    EXPECT_EQ(table.rfind("phase ", 0), 0u) << table;
+    const std::vector<TableRow> rows = tableRows(table);
+    ASSERT_EQ(rows.size(), 2u) << table;
+    EXPECT_EQ(rows[0].name, "obs.test.inner");
+    EXPECT_EQ(rows[0].calls, 1u);
+    EXPECT_EQ(rows[1].name, "obs.test.outer");
+    EXPECT_EQ(rows[1].calls, 2u);
+    EXPECT_EQ(table.find("lost"), std::string::npos) << table;
+}
 
-    const std::vector<obs::PhaseTiming> cells = prof.snapshot();
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_EQ(cells[0].phase, "obs.test.threaded");
-    EXPECT_EQ(cells[1].phase, "obs.test.threaded");
-    std::set<std::string> threads{cells[0].thread, cells[1].thread};
-    EXPECT_TRUE(threads.count(""));
-    EXPECT_TRUE(threads.count("w3"));
+TEST(PhaseTable, SplitsWorkerRowsAndMergesTheirTotal)
+{
+    const std::string table = phaseTableOf([] {
+        {
+            AXM_SPAN("phase", "obs.test.threaded");
+        }
+        const auto onWorker = [](unsigned index, int spans) {
+            std::thread worker([index, spans] {
+                obs::setThreadLabel(index);
+                for (int i = 0; i < spans; ++i) {
+                    AXM_SPAN("phase", "obs.test.threaded");
+                }
+                obs::clearThreadLabel();
+            });
+            worker.join();
+        };
+        onWorker(3, 2);
+        onWorker(5, 1);
+    });
+    const std::vector<TableRow> rows = tableRows(table);
+    ASSERT_EQ(rows.size(), 3u) << table;
+    // The merged row counts every thread, the main one included; the
+    // main thread gets no row of its own.
+    EXPECT_EQ(rows[0].name, "obs.test.threaded");
+    EXPECT_EQ(rows[0].calls, 4u);
+    EXPECT_EQ(rows[1].name, "[w3]");
+    EXPECT_EQ(rows[1].calls, 2u);
+    EXPECT_EQ(rows[2].name, "[w5]");
+    EXPECT_EQ(rows[2].calls, 1u);
+}
 
-    const std::vector<obs::PhaseTiming> merged = prof.snapshotByPhase();
-    ASSERT_EQ(merged.size(), 1u);
-    EXPECT_EQ(merged[0].calls, 2u);
-    prof.reset();
+TEST(PhaseTable, CountsOnlyPhaseSpans)
+{
+    const std::string table = phaseTableOf([] {
+        {
+            AXM_SPAN("job", "obs.test.job");
+            AXM_SPAN("phase", "obs.test.counted");
+            telemetry::counter("obs.test.counter", 1.0);
+        }
+        {
+            AXM_SPAN("sweep", "obs.test.sweep");
+        }
+    });
+    const std::vector<TableRow> rows = tableRows(table);
+    ASSERT_EQ(rows.size(), 1u) << table;
+    EXPECT_EQ(rows[0].name, "obs.test.counted");
+    EXPECT_EQ(rows[0].calls, 1u);
+}
+
+TEST(PhaseTable, SecondTableCoversOnlyLaterSpans)
+{
+    telemetry::resetForTest();
+    telemetry::setEnabled(true);
+    {
+        AXM_SPAN("phase", "obs.test.first");
+    }
+    const std::string first = telemetry::renderPhaseTable();
+    {
+        AXM_SPAN("phase", "obs.test.second");
+    }
+    const std::string second = telemetry::renderPhaseTable();
+    telemetry::setEnabled(false);
+    const std::string third = telemetry::renderPhaseTable();
+    // The spans stay collected for the timeline.
+    EXPECT_EQ(telemetry::collectedEvents().size(), 2u);
+    telemetry::resetForTest();
+
+    const std::vector<TableRow> firstRows = tableRows(first);
+    ASSERT_EQ(firstRows.size(), 1u) << first;
+    EXPECT_EQ(firstRows[0].name, "obs.test.first");
+    const std::vector<TableRow> secondRows = tableRows(second);
+    ASSERT_EQ(secondRows.size(), 1u) << second;
+    EXPECT_EQ(secondRows[0].name, "obs.test.second");
+    EXPECT_NE(third.find("(no phases recorded)"), std::string::npos)
+        << third;
+}
+
+TEST(PhaseTable, ReportsEventsLostToRingOverflow)
+{
+    // A fresh thread owns an empty ring of 16,384 slots; nothing
+    // drains it while the thread runs, so the last 10 spans are lost.
+    constexpr int ringSlots = 1 << 14;
+    const std::string table = phaseTableOf([] {
+        std::thread worker([] {
+            obs::setThreadLabel(1);
+            for (int i = 0; i < ringSlots + 10; ++i) {
+                AXM_SPAN("phase", "obs.test.flood");
+            }
+            obs::clearThreadLabel();
+        });
+        worker.join();
+    });
+    const std::vector<TableRow> rows = tableRows(table);
+    ASSERT_EQ(rows.size(), 2u) << table;
+    EXPECT_EQ(rows[0].calls, static_cast<unsigned long long>(ringSlots));
+    EXPECT_NE(table.find("(10 span events lost to ring overflow"),
+              std::string::npos)
+        << table;
 }
 
 } // namespace

@@ -370,6 +370,37 @@ TEST(MemoServerTest, TwoTenantRoundTripWithQuotaIsolation)
     EXPECT_GE(server.totals().requests, 15u);
 }
 
+TEST(MemoServerTest, StatsEscapesTenantNames)
+{
+    const std::string name = "a\"b\\c";
+    ServerConfig config;
+    config.table.lutBytes = 16 * 1024;
+    config.table.tenants.push_back({name, 8});
+    MemoServer server(config);
+    ASSERT_TRUE(server.start().ok());
+    Client client(server);
+
+    Request stats;
+    stats.op = Op::Stats;
+    stats.seq = 1;
+    const Reply r = client.call(stats);
+    ASSERT_EQ(r.status, Status::Ok);
+    const Expected<JValue> json = parseJsonValue(r.text);
+    ASSERT_TRUE(json.ok()) << r.text;
+    // The name survives in both places the document carries it.
+    const JValue *latency = json.value().find("latency_us");
+    ASSERT_NE(latency, nullptr) << r.text;
+    EXPECT_NE(latency->find(name), nullptr) << r.text;
+    const JValue *table = json.value().find("table");
+    ASSERT_NE(table, nullptr) << r.text;
+    const JValue *tenants = table->find("tenants");
+    ASSERT_NE(tenants, nullptr) << r.text;
+    ASSERT_EQ(tenants->elements.size(), 1u) << r.text;
+    const JValue *stored = tenants->elements[0].find("name");
+    ASSERT_NE(stored, nullptr) << r.text;
+    EXPECT_EQ(stored->token, name);
+}
+
 TEST(MemoServerTest, DrainingServerRefusesNewRequests)
 {
     ServerConfig config;

@@ -256,6 +256,29 @@ TEST(SweepResume, TornFinalLineIsDroppedAndResimulated)
                             "post-torn job " + std::to_string(i));
 }
 
+TEST(SweepResume, DeeplyNestedLineIsSkippedNotFatal)
+{
+    TempFile journal("deep_line.ckpt");
+
+    SweepEngine first(testOptions());
+    first.setJournal(journal.path(), /*resume=*/false);
+    enqueueMatrix(first);
+    const std::vector<SweepOutcome> uninterrupted = first.execute();
+    first.closeJournal(/*removeFile=*/false);
+
+    // A hostile line nested 100,000 deep: a Parse error, never a
+    // stack overflow, and the good records around it still load.
+    {
+        std::ofstream out(journal.path(),
+                          std::ios::binary | std::ios::app);
+        out << std::string(100000, '[') << '\n';
+    }
+    std::size_t skipped = 0;
+    const auto records = SweepJournal::load(journal.path(), &skipped);
+    EXPECT_EQ(skipped, 1u);
+    EXPECT_EQ(records.size(), uninterrupted.size());
+}
+
 TEST(SweepResume, ConfigChangeInvalidatesJournaledJobs)
 {
     TempFile journal("config_change.ckpt");

@@ -1,10 +1,13 @@
 /**
  * @file
  * Span telemetry and fleet-status tests (DESIGN.md §13): span
- * nesting and the disabled fast path, the Chrome-trace timeline
- * contract (prefix/suffix, parseability, per-process lanes), the
- * merge stitcher, metrics snapshot lines, and readFleetStatus over a
- * synthetic shard directory.
+ * nesting and the disabled fast path, the phase spans runArtifact
+ * records (and that it records nothing when disarmed), the
+ * Chrome-trace timeline contract (prefix/suffix, parseability,
+ * per-process lanes), the merge stitcher, metrics snapshot lines, and
+ * readFleetStatus over a synthetic shard directory. Spans are compiled
+ * into every build, so all of these also run with the trace points
+ * compiled out.
  */
 
 #include <cstdio>
@@ -15,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/artifact.hh"
 #include "core/fleet_status.hh"
 #include "core/json_value.hh"
+#include "core/output_paths.hh"
 #include "obs/telemetry.hh"
 
 namespace axmemo {
@@ -80,8 +85,6 @@ snapshotLine(const std::string &worker, std::uint64_t jobsDone,
 
 // ------------------------------------------------------------- spans
 
-#ifndef AXMEMO_NO_TRACE
-
 TEST(Telemetry, SpansNestThroughTheParentStack)
 {
     telemetry::resetForTest();
@@ -142,6 +145,76 @@ TEST(Telemetry, CountersCarryValueAndParent)
     EXPECT_EQ(counter.parent, events[1].id);
 }
 
+// ------------------------------------------------------ phase spans
+
+/** One tiny sweep (a sobel baseline run) behind the Artifact seam. */
+class ProbeArtifact : public Artifact
+{
+  public:
+    std::string name() const override { return "telemetry_probe"; }
+    std::string title() const override { return ""; }
+    std::string description() const override { return "test probe"; }
+
+    void
+    enqueue(SweepEngine &engine) override
+    {
+        ExperimentConfig config;
+        config.dataset.scale = 0.01;
+        engine.enqueueRun("sobel", "baseline", config);
+    }
+
+    ArtifactResult
+    reduce(const std::vector<SweepOutcome> &) override
+    {
+        return {};
+    }
+};
+
+ArtifactRunOptions
+probeOptions(const TempDir &dir)
+{
+    ArtifactRunOptions options;
+    options.outDir = dir.path();
+    options.runtime.jobs = 1;
+    options.runtime.reportTiming = false;
+    return options;
+}
+
+TEST(Telemetry, DisarmedRunArtifactRecordsNothing)
+{
+    // `axmemo run` keeps no host timer of its own: with recording off,
+    // a whole artifact pipeline leaves the event store empty.
+    TempDir dir("disarmed");
+    telemetry::resetForTest();
+    telemetry::setEnabled(false);
+    ProbeArtifact artifact;
+    ASSERT_TRUE(runArtifact(artifact, probeOptions(dir)).ok());
+    EXPECT_TRUE(telemetry::collectedEvents().empty());
+    EXPECT_EQ(telemetry::droppedEvents(), 0u);
+    telemetry::resetForTest();
+}
+
+TEST(Telemetry, ArmedRunArtifactRecordsEveryPhase)
+{
+    TempDir dir("armed");
+    telemetry::resetForTest();
+    telemetry::setEnabled(true);
+    ProbeArtifact artifact;
+    ASSERT_TRUE(runArtifact(artifact, probeOptions(dir)).ok());
+    telemetry::setEnabled(false);
+    const std::string table = telemetry::renderPhaseTable();
+    telemetry::resetForTest();
+    for (const char *phase :
+         {"artifact.enqueue", "artifact.execute", "artifact.reduce",
+          "artifact.emit", "sweep.prepare", "sweep.prepare.job",
+          "sweep.baseline", "sweep.baseline.job", "sweep.subject",
+          "sweep.subject.job"})
+        EXPECT_NE(table.find(std::string("\n") + phase + " "),
+                  std::string::npos)
+            << phase << "\n"
+            << table;
+}
+
 // ---------------------------------------------------------- timeline
 
 TEST(Telemetry, TimelineHonorsThePrefixSuffixContract)
@@ -176,18 +249,17 @@ TEST(Telemetry, StitchMergesLanesAndCountsDamage)
     {
         AXM_SPAN("job", "first-lane");
     }
-    std::string error;
-    ASSERT_TRUE(telemetry::writeTimeline(dir.sub("timeline.w0.json"),
-                                         "w0", &error))
-        << error;
+    const Expected<void> first = atomicWriteFile(
+        dir.sub("timeline.w0.json"), telemetry::renderTimeline("w0"));
+    ASSERT_TRUE(first.ok()) << first.error().describe();
     telemetry::resetForTest();
     telemetry::setEnabled(true);
     {
         AXM_SPAN("job", "second-lane");
     }
-    ASSERT_TRUE(telemetry::writeTimeline(dir.sub("timeline.w1.json"),
-                                         "w1", &error))
-        << error;
+    const Expected<void> second = atomicWriteFile(
+        dir.sub("timeline.w1.json"), telemetry::renderTimeline("w1"));
+    ASSERT_TRUE(second.ok()) << second.error().describe();
     telemetry::setEnabled(false);
     telemetry::resetForTest();
     writeFile(dir.sub("timeline.bad.json"), "not a timeline");
@@ -243,8 +315,6 @@ TEST(Telemetry, SnapshotLinesAppendOnHeartbeat)
     EXPECT_GT(num("rss_bytes"), 0.0);
     telemetry::resetForTest();
 }
-
-#endif // AXMEMO_NO_TRACE
 
 // -------------------------------------------------------- fleet status
 

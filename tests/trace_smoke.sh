@@ -41,7 +41,7 @@ fi
 cmp "$workdir/stdout1.txt" "$workdir/stdout2.txt"
 
 # Every enabled component must actually have traced something.
-for component in exec memo mem lut sweep prof; do
+for component in exec memo mem lut sweep; do
     if ! grep -q ": $component: " "$workdir/trace1.txt"; then
         echo "no '$component:' lines in the all-flags trace" >&2
         exit 1

@@ -10,8 +10,8 @@
  *   axmemo list                        catalog of registered artifacts
  *   axmemo run fig9                    one artifact, legacy-identical
  *                                      stdout (run all = everything)
- *   axmemo profile fig9                run + the aggregated phase-timer
- *                                      table
+ *   axmemo profile fig9                run + the per-phase host-time
+ *                                      table built from "phase" spans
  *   axmemo merge fig9 --shard-dir <d>  reduce a sharded sweep
  *   axmemo status <dir>                one-screen fleet view
  *   axmemo serve                       long-lived memo server on an
@@ -56,7 +56,6 @@
 #include "core/memo_backends.hh"
 #include "core/output_paths.hh"
 #include "core/shard_queue.hh"
-#include "obs/profiler.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "serve/replay.hh"
@@ -103,6 +102,15 @@ listEntry(cli::CommonArgs &)
         std::printf("  %-26s %s\n", backend->name().c_str(),
                     backend->description().c_str());
     return 0;
+}
+
+/** Write one timeline document (crash-safe, like every report). */
+void
+saveTimeline(const std::string &path, const std::string &document)
+{
+    const Expected<void> wrote = atomicWriteFile(path, document);
+    if (!wrote.ok())
+        axm_warn("cannot write timeline: ", wrote.error().describe());
 }
 
 /** The run/profile/merge artifact loop (one function, three roles). */
@@ -196,9 +204,6 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
                 std::printf("\n");
             const std::unique_ptr<Artifact> artifact =
                 registry.make(names[i]);
-            // Per-artifact phase isolation: the profile view reports
-            // this run only.
-            obs::Profiler::instance().reset();
             const Expected<ArtifactRunRecord> record =
                 runArtifact(*artifact, opts);
             if (!record.ok()) {
@@ -218,9 +223,10 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
             if (interruptRequested())
                 break;
             if (profile && !worker) {
-                std::printf(
-                    "\n== profile %s ==\n%s", names[i].c_str(),
-                    obs::Profiler::instance().renderText().c_str());
+                // The table covers the phase spans closed since the
+                // previous artifact's: this run only.
+                std::printf("\n== profile %s ==\n%s", names[i].c_str(),
+                            telemetry::renderPhaseTable().c_str());
                 std::fflush(stdout);
             }
         }
@@ -285,13 +291,10 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
                 workerOptions.shardMode = ShardMode::Worker;
                 workerOptions.queue = &queue;
                 const int code = driveArtifacts(workerOptions);
-                if (!runtime.timeline.empty()) {
-                    std::string error;
-                    if (!telemetry::writeTimeline(queue.timelinePath(),
-                                                  runtime.workerId,
-                                                  &error))
-                        axm_warn("timeline segment: ", error);
-                }
+                if (!runtime.timeline.empty())
+                    saveTimeline(queue.timelinePath(),
+                                 telemetry::renderTimeline(
+                                     runtime.workerId));
                 std::exit(code);
             }
             children.push_back(pid);
@@ -323,11 +326,7 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
             if (damaged)
                 axm_warn(damaged,
                          " damaged timeline segment(s) skipped");
-            const Expected<void> wrote =
-                atomicWriteFile(runtime.timeline, stitched);
-            if (!wrote.ok())
-                axm_warn("cannot write timeline: ",
-                         wrote.error().describe());
+            saveTimeline(runtime.timeline, stitched);
         }
         return code ? code : workerExit;
     }
@@ -341,24 +340,18 @@ artifactEntry(cli::CommonArgs &args, bool profile, bool merge)
         options.shardMode = ShardMode::Worker;
         options.queue = &queue;
         const int code = driveArtifacts(options);
-        if (!runtime.timeline.empty()) {
-            // A shard worker contributes a per-worker segment; the
-            // requested file is the merge step's to write.
-            std::string error;
-            if (!telemetry::writeTimeline(queue.timelinePath(),
-                                          workerId, &error))
-                axm_warn("timeline segment: ", error);
-        }
+        // A shard worker contributes a per-worker segment; the
+        // requested file is the merge step's to write.
+        if (!runtime.timeline.empty())
+            saveTimeline(queue.timelinePath(),
+                         telemetry::renderTimeline(workerId));
         return code;
     }
     const int code = driveArtifacts(options);
-    if (!runtime.timeline.empty()) {
-        std::string error;
-        if (!telemetry::writeTimeline(
-                runtime.timeline,
-                names.size() == 1 ? names[0] : "run", &error))
-            axm_warn("cannot write timeline: ", error);
-    }
+    if (!runtime.timeline.empty())
+        saveTimeline(runtime.timeline,
+                     telemetry::renderTimeline(
+                         names.size() == 1 ? names[0] : "run"));
     return code;
 }
 
@@ -371,6 +364,9 @@ runEntry(cli::CommonArgs &args)
 int
 profileEntry(cli::CommonArgs &args)
 {
+    // The table is built from phase spans, so record them the way
+    // --trace-timeline does.
+    telemetry::setEnabled(true);
     return artifactEntry(args, true, false);
 }
 
@@ -552,9 +548,9 @@ main(int argc, char **argv)
     registry.add({"profile", "run artifacts, then print the "
                              "phase-timer table",
                   "<artifact>... | all [options]",
-                  "Identical to `run`, then prints the aggregated "
-                  "phase timers (per\nphase and per sweep worker) for "
-                  "each artifact.\n",
+                  "Identical to `run` with span recording armed, then "
+                  "prints the host\ntime of each \"phase\" span (per "
+                  "phase and per sweep worker) for\neach artifact.\n",
                   profileEntry});
     registry.add({"merge", "reduce a sharded sweep into reports",
                   "<artifact>... | all --shard-dir <d> [options]",

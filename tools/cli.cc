@@ -165,7 +165,7 @@ flagTable()
                          "--watch", v, error);
          }},
         {"--debug-flags", "<spec>",
-         "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Prof,Host|All",
+         "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Host|All",
          +[](CommonArgs &, const char *v, std::string *error) {
              std::string why;
              if (!trace::enableFlags(v, &why))
