@@ -7,6 +7,10 @@
  * lookup table. Being a task-runtime technique, every memoized invocation
  * additionally pays a task dispatch/bookkeeping cost, which is what drags
  * small-kernel benchmarks into slowdown in the paper's comparison.
+ *
+ * ATM is the software LUT's rewrite (software_transform.hh) with the
+ * byte-sampling hash and a dispatch chain per invocation, so this
+ * header only maps its knobs onto SwMemoConfig.
  */
 
 #ifndef AXMEMO_COMPILER_ATM_TRANSFORM_HH

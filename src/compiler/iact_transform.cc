@@ -1,45 +1,277 @@
 #include "compiler/iact_transform.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/bits.hh"
 #include "common/expected.hh"
 #include "common/log.hh"
-#include "isa/analysis.hh"
+#include "compiler/region_rewriter.hh"
 
 namespace axmemo {
 
 namespace {
 
-struct IactRegionPlan
+/** The pool select, similarity scan and FIFO victim capture; see
+ * iact_transform.hh. */
+class IactRewriter final : public GenerationLutRewriter
 {
-    RegionMemoSpec spec;
-    InstRange range;
-    RangeInterface iface;
-    /** Inputs actually matched/stored (excludeInputs filtered out). */
-    std::vector<RegId> inputs;
-    unsigned outputBytes = 0;
-    /** Bytes per pool entry: one 8-byte slot per input + packed outputs. */
-    unsigned entrySize = 0;
+  public:
+    IactRewriter(const Program &prog, const MemoSpec &spec,
+                 SimMemory &mem, const IactConfig &config)
+        : GenerationLutRewriter(prog, spec), config_(config),
+          entries_(1u << config.log2Entries),
+          exact_(config.threshold == 0.0), regions_(plans_.size())
+    {
+        for (RegionPlan *plan : specOrder()) {
+            if (plan->inputs.empty())
+                axm_fatal(prog.name(), ": region ", plan->spec.regionId,
+                          " has no inputs to match on");
+            // The row counts the bytes compared: a float's 4, an
+            // integer's whole 8-byte slot. A pool entry holds one slot
+            // per input plus the packed outputs.
+            plan->info.inputBytes = 0;
+            for (RegId input : plan->inputs)
+                plan->info.inputBytes += isFloatReg(input) ? 4 : 8;
+            Region &region = regions_[plan->index];
+            region.entrySize =
+                8 * (static_cast<unsigned>(plan->inputs.size()) + 1);
+            region.dataBase = mem.allocate(
+                static_cast<std::uint64_t>(config.pools) * entries_ *
+                region.entrySize);
+            region.validBase = mem.allocate(
+                static_cast<std::uint64_t>(config.pools) * entries_);
+            region.rotorBase = mem.allocate(config.pools);
+        }
+    }
 
-    // Simulated-memory layout: pools * entries tuple slots, pools *
-    // entries generation bytes, and one FIFO rotor byte per pool.
-    Addr dataBase = 0;
-    Addr validBase = 0;
-    Addr rotorBase = 0;
+  protected:
+    void
+    emitSetup() override
+    {
+        // The relative-error tolerance, one float register shared by
+        // every region (unused when threshold == 0: compares are exact).
+        if (!plans_.empty() && !exact_) {
+            thrReg_ = freshFloat();
+            emit({.op = Op::Fmovi, .dst = thrReg_,
+                  .imm = static_cast<std::int64_t>(floatBits(
+                      static_cast<float>(config_.threshold)))});
+        }
+        // Plus one round-robin invocation counter per region that
+        // stripes calls across the per-thread pools.
+        for (const RegionPlan &plan : plans_) {
+            setupTable(plan);
+            if (config_.pools > 1) {
+                const RegId invokes = freshInt();
+                regions_[plan.index].invokeCounter = invokes;
+                emit({.op = Op::Movi, .dst = invokes, .imm = 0});
+            }
+        }
+    }
 
-    // Registers created in the prologue and reused by the epilogue
-    // (victim entry/valid addresses chosen on the miss path).
-    RegId dataAddr = invalidReg;
-    RegId validAddr = invalidReg;
-    RegId genReg = invalidReg;
-    RegId hitCounter = invalidReg;
-    RegId lookupCounter = invalidReg;
-    RegId invokeCounter = invalidReg;
+    RegId
+    emitProbe(const RegionPlan &plan, std::vector<InstIndex> &toMiss) override
+    {
+        Table &t = table(plan);
+        Region &region = regions_[plan.index];
+        emitTaskOverhead(config_.taskOverheadInsts);
+        count(t.lookups);
 
-    InstIndex packStart = -1;
+        // ---- pool select: stripe invocations round-robin across the
+        // per-thread pools ----
+        region.vPool = freshInt();
+        emit({.op = Op::Movi, .dst = region.vPool,
+              .imm = static_cast<std::int64_t>(region.validBase)});
+        region.ePool = freshInt();
+        emit({.op = Op::Movi, .dst = region.ePool,
+              .imm = static_cast<std::int64_t>(region.dataBase)});
+        region.rotorAddr = freshInt();
+        emit({.op = Op::Movi, .dst = region.rotorAddr,
+              .imm = static_cast<std::int64_t>(region.rotorBase)});
+        if (config_.pools > 1) {
+            const RegId pool = freshInt();
+            emit({.op = Op::And, .dst = pool, .src1 = region.invokeCounter,
+                  .imm = static_cast<std::int64_t>(config_.pools - 1)});
+            count(region.invokeCounter);
+            const RegId vOff = freshInt();
+            emit({.op = Op::Shl, .dst = vOff, .src1 = pool,
+                  .imm = static_cast<std::int64_t>(config_.log2Entries)});
+            emit({.op = Op::Add, .dst = region.vPool, .src1 = region.vPool,
+                  .src2 = vOff});
+            const RegId eOff = freshInt();
+            emit({.op = Op::Mul, .dst = eOff, .src1 = pool,
+                  .imm = static_cast<std::int64_t>(entries_) *
+                         region.entrySize});
+            emit({.op = Op::Add, .dst = region.ePool, .src1 = region.ePool,
+                  .src2 = eOff});
+            emit({.op = Op::Add, .dst = region.rotorAddr,
+                  .src1 = region.rotorAddr, .src2 = pool});
+        }
+
+        // ---- linear scan over the pool's entries ----
+        const RegId slotIdx = freshInt();
+        emit({.op = Op::Movi, .dst = slotIdx, .imm = 0});
+        const RegId vAddr = freshInt();
+        emit({.op = Op::Mov, .dst = vAddr, .src1 = region.vPool});
+        const RegId eAddr = freshInt();
+        emit({.op = Op::Mov, .dst = eAddr, .src1 = region.ePool});
+
+        const InstIndex loopHead = here();
+        const RegId atEnd = freshInt();
+        emit({.op = Op::Seq, .dst = atEnd, .src1 = slotIdx,
+              .imm = static_cast<std::int64_t>(entries_)});
+        toMiss.push_back(emit({.op = Op::Bt, .src1 = atEnd}));
+
+        std::vector<InstIndex> toNext;
+        const RegId valid = freshInt();
+        emit({.op = Op::Ld, .dst = valid, .src1 = vAddr, .size = 1});
+        const RegId live = freshInt();
+        emit({.op = Op::Seq, .dst = live, .src1 = valid, .src2 = t.gen});
+        toNext.push_back(emit({.op = Op::Bf, .src1 = live}));
+
+        for (std::size_t j = 0; j < plan.inputs.size(); ++j) {
+            const RegId input = plan.inputs[j];
+            const std::int64_t off = 8 * static_cast<std::int64_t>(j);
+            if (isFloatReg(input)) {
+                const RegId stored = freshFloat();
+                emit({.op = Op::Ldf, .dst = stored, .src1 = eAddr,
+                      .imm = off, .size = 4});
+                emitFloatMatch(input, stored, toNext);
+            } else if (exact_) {
+                const RegId stored = freshInt();
+                emit({.op = Op::Ld, .dst = stored, .src1 = eAddr,
+                      .imm = off, .size = 8});
+                const RegId ok = freshInt();
+                emit({.op = Op::Seq, .dst = ok, .src1 = input,
+                      .src2 = stored});
+                toNext.push_back(emit({.op = Op::Bf, .src1 = ok}));
+            } else {
+                const RegId stored = freshInt();
+                emit({.op = Op::Ld, .dst = stored, .src1 = eAddr,
+                      .imm = off, .size = 8});
+                const RegId fin = freshFloat();
+                emit({.op = Op::CvtIF, .dst = fin, .src1 = input});
+                const RegId fst = freshFloat();
+                emit({.op = Op::CvtIF, .dst = fst, .src1 = stored});
+                emitFloatMatch(fin, fst, toNext);
+            }
+        }
+        const InstIndex toHit = emit({.op = Op::Br});
+
+        // NEXT: advance to the following slot.
+        patch(toNext, here());
+        emit({.op = Op::Add, .dst = slotIdx, .src1 = slotIdx, .imm = 1});
+        emit({.op = Op::Add, .dst = vAddr, .src1 = vAddr, .imm = 1});
+        emit({.op = Op::Add, .dst = eAddr, .src1 = eAddr,
+              .imm = static_cast<std::int64_t>(region.entrySize)});
+        emit({.op = Op::Br, .imm = loopHead});
+
+        // HIT: reuse the matched entry's stored outputs.
+        patch({toHit}, here());
+        count(t.hits);
+        const RegId data = freshInt();
+        emit({.op = Op::Ld, .dst = data, .src1 = eAddr,
+              .imm = outputOffset(plan),
+              .size = static_cast<std::uint8_t>(plan.info.outputBytes)});
+        return data;
+    }
+
+    void
+    emitMiss(const RegionPlan &plan) override
+    {
+        // Evict FIFO via the pool rotor, remember the victim slot for
+        // the fill, and capture the inputs now (the region body may
+        // overwrite the input registers).
+        Table &t = table(plan);
+        const Region &region = regions_[plan.index];
+        const RegId slot = freshInt();
+        emit({.op = Op::Ld, .dst = slot, .src1 = region.rotorAddr,
+              .size = 1});
+        const RegId bumped = freshInt();
+        emit({.op = Op::Add, .dst = bumped, .src1 = slot, .imm = 1});
+        const RegId wrapped = freshInt();
+        emit({.op = Op::And, .dst = wrapped, .src1 = bumped,
+              .imm = static_cast<std::int64_t>(entries_ - 1)});
+        emit({.op = Op::St, .src1 = region.rotorAddr, .src2 = wrapped,
+              .size = 1});
+        t.validAddr = freshInt();
+        emit({.op = Op::Add, .dst = t.validAddr, .src1 = region.vPool,
+              .src2 = slot});
+        const RegId victimOff = freshInt();
+        emit({.op = Op::Mul, .dst = victimOff, .src1 = slot,
+              .imm = static_cast<std::int64_t>(region.entrySize)});
+        t.dataAddr = freshInt();
+        emit({.op = Op::Add, .dst = t.dataAddr, .src1 = region.ePool,
+              .src2 = victimOff});
+        for (std::size_t j = 0; j < plan.inputs.size(); ++j) {
+            const RegId input = plan.inputs[j];
+            const bool isFloat = isFloatReg(input);
+            emit({.op = isFloat ? Op::Stf : Op::St, .src1 = t.dataAddr,
+                  .src2 = input, .imm = 8 * static_cast<std::int64_t>(j),
+                  .size = static_cast<std::uint8_t>(isFloat ? 4 : 8)});
+        }
+    }
+
+    void
+    emitFill(const RegionPlan &plan, RegId packed) override
+    {
+        storeEntry(plan, packed, outputOffset(plan));
+    }
+
+  private:
+    /** One region's pool layout, and the pool registers the probe
+     * leaves for the miss path. Simulated memory holds pools * entries
+     * tuple slots, pools * entries generation bytes, and one FIFO rotor
+     * byte per pool. */
+    struct Region
+    {
+        unsigned entrySize = 0;
+        Addr dataBase = 0;
+        Addr validBase = 0;
+        Addr rotorBase = 0;
+        RegId invokeCounter = invalidReg;
+        RegId vPool = invalidReg;
+        RegId ePool = invalidReg;
+        RegId rotorAddr = invalidReg;
+    };
+
+    /** The packed outputs follow the input slots in an entry. */
+    static std::int64_t
+    outputOffset(const RegionPlan &plan)
+    {
+        return 8 * static_cast<std::int64_t>(plan.inputs.size());
+    }
+
+    /** Emit |in - stored| <= threshold * |stored| (or exact equality)
+     * for one float pair; branch to NEXT on mismatch. */
+    void
+    emitFloatMatch(RegId input, RegId stored,
+                   std::vector<InstIndex> &toNext)
+    {
+        const RegId ok = freshInt();
+        if (exact_) {
+            emit({.op = Op::Feq, .dst = ok, .src1 = input, .src2 = stored});
+        } else {
+            const RegId diff = freshFloat();
+            emit({.op = Op::Fsub, .dst = diff, .src1 = input,
+                  .src2 = stored});
+            const RegId adiff = freshFloat();
+            emit({.op = Op::Fabs, .dst = adiff, .src1 = diff});
+            const RegId astored = freshFloat();
+            emit({.op = Op::Fabs, .dst = astored, .src1 = stored});
+            const RegId tol = freshFloat();
+            emit({.op = Op::Fmul, .dst = tol, .src1 = astored,
+                  .src2 = thrReg_});
+            emit({.op = Op::Fle, .dst = ok, .src1 = adiff, .src2 = tol});
+        }
+        toNext.push_back(emit({.op = Op::Bf, .src1 = ok}));
+    }
+
+    const IactConfig config_;
+    const unsigned entries_;
+    const bool exact_;
+    RegId thrReg_ = invalidReg;
+    std::vector<Region> regions_;
 };
 
 } // namespace
@@ -61,471 +293,7 @@ IactTransform::apply(const Program &prog, const MemoSpec &spec,
     if (!(config.threshold >= 0.0) || !std::isfinite(config.threshold))
         raiseError(ErrorCode::Config, "iact",
                    "iact threshold must be finite and >= 0");
-
-    const Liveness liveness(prog);
-    const unsigned entries = 1u << config.log2Entries;
-    const bool exact = config.threshold == 0.0;
-
-    // ---- plan regions ----
-    std::vector<IactRegionPlan> plans;
-    for (const RegionMemoSpec &rs : spec.regions) {
-        const auto it = prog.regions().find(rs.regionId);
-        if (it == prog.regions().end())
-            axm_fatal(prog.name(), ": no hinted region ", rs.regionId);
-        IactRegionPlan plan;
-        plan.spec = rs;
-        plan.range = it->second;
-        plan.iface = analyzeRange(prog, liveness, plan.range);
-        if (plan.iface.hasStores || plan.iface.escapes)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " ineligible for software memoization");
-        if (plan.iface.outputs.empty() || plan.iface.outputs.size() > 2)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " must have 1-2 outputs");
-        for (RegId input : plan.iface.inputs) {
-            if (!rs.excludeInputs.count(input))
-                plan.inputs.push_back(input);
-        }
-        if (plan.inputs.empty())
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " has no inputs to match on");
-        plan.outputBytes =
-            4 * static_cast<unsigned>(plan.iface.outputs.size());
-        plan.entrySize =
-            8 * (static_cast<unsigned>(plan.inputs.size()) + 1);
-        plan.dataBase =
-            mem.allocate(static_cast<std::uint64_t>(config.pools) *
-                         entries * plan.entrySize);
-        plan.validBase = mem.allocate(
-            static_cast<std::uint64_t>(config.pools) * entries);
-        plan.rotorBase = mem.allocate(config.pools);
-        plans.push_back(std::move(plan));
-    }
-
-    std::sort(plans.begin(), plans.end(),
-              [](const IactRegionPlan &a, const IactRegionPlan &b) {
-                  return a.range.begin < b.range.begin;
-              });
-    for (std::size_t i = 1; i < plans.size(); ++i) {
-        if (plans[i].range.begin < plans[i - 1].range.end)
-            axm_fatal(prog.name(), ": memoized regions overlap");
-    }
-
-    unsigned nextInt = prog.numIntRegs();
-    auto freshInt = [&nextInt] { return iregId(nextInt++); };
-    unsigned nextFloat = prog.numFloatRegs();
-    auto freshFloat = [&nextFloat] { return fregId(nextFloat++); };
-
-    SwTransformResult result;
-    Program out(prog.name() + "+iact");
-    std::vector<InstIndex> oldToNew(
-        static_cast<std::size_t>(prog.size()) + 1, -1);
-
-    struct BranchFixup
-    {
-        InstIndex newIdx;
-        InstIndex oldTarget;
-        int regionPlan;
-    };
-    std::vector<BranchFixup> fixups;
-
-    // The relative-error tolerance, one float register shared by every
-    // region (unused when threshold == 0: compares are exact).
-    RegId thrReg = invalidReg;
-    if (!plans.empty() && !exact) {
-        thrReg = freshFloat();
-        out.append({.op = Op::Fmovi, .dst = thrReg,
-                    .imm = static_cast<std::int64_t>(floatBits(
-                        static_cast<float>(config.threshold)))});
-    }
-
-    // Generation registers (invalidation support) + counters, as in the
-    // software transform; plus one round-robin invocation counter per
-    // region that stripes calls across the per-thread pools.
-    for (IactRegionPlan &plan : plans) {
-        plan.genReg = freshInt();
-        plan.lookupCounter = freshInt();
-        plan.hitCounter = freshInt();
-        out.append({.op = Op::Movi, .dst = plan.genReg, .imm = 1});
-        out.append({.op = Op::Movi, .dst = plan.lookupCounter, .imm = 0});
-        out.append({.op = Op::Movi, .dst = plan.hitCounter, .imm = 0});
-        if (config.pools > 1) {
-            plan.invokeCounter = freshInt();
-            out.append(
-                {.op = Op::Movi, .dst = plan.invokeCounter, .imm = 0});
-        }
-    }
-
-    auto plansForLut = [&plans](LutId lut) {
-        std::vector<IactRegionPlan *> matching;
-        for (IactRegionPlan &plan : plans) {
-            if (plan.spec.lut == lut)
-                matching.push_back(&plan);
-        }
-        return matching;
-    };
-
-    std::size_t planIdx = 0;
-    int activePlan = -1;
-    InstIndex pendingHitBr = -1;
-
-    // Emit |in - stored| <= threshold * |stored| (or exact equality)
-    // for one float pair; branch to NEXT on mismatch.
-    auto emitFloatMatch = [&](RegId input, RegId stored,
-                              std::vector<InstIndex> &toNext) {
-        const RegId ok = freshInt();
-        if (exact) {
-            out.append({.op = Op::Feq, .dst = ok, .src1 = input,
-                        .src2 = stored});
-        } else {
-            const RegId diff = freshFloat();
-            out.append({.op = Op::Fsub, .dst = diff, .src1 = input,
-                        .src2 = stored});
-            const RegId adiff = freshFloat();
-            out.append({.op = Op::Fabs, .dst = adiff, .src1 = diff});
-            const RegId astored = freshFloat();
-            out.append({.op = Op::Fabs, .dst = astored, .src1 = stored});
-            const RegId tol = freshFloat();
-            out.append({.op = Op::Fmul, .dst = tol, .src1 = astored,
-                        .src2 = thrReg});
-            out.append({.op = Op::Fle, .dst = ok, .src1 = adiff,
-                        .src2 = tol});
-        }
-        toNext.push_back(out.append({.op = Op::Bf, .src1 = ok, .imm = 0}));
-    };
-
-    for (InstIndex i = 0; i <= prog.size(); ++i) {
-        // ---- region epilogue: store the tuple's outputs into the
-        // victim slot picked on the miss path ----
-        if (activePlan >= 0 &&
-            i == plans[static_cast<std::size_t>(activePlan)].range.end) {
-            IactRegionPlan &plan =
-                plans[static_cast<std::size_t>(activePlan)];
-            plan.packStart = out.size();
-            const std::int64_t outOff =
-                8 * static_cast<std::int64_t>(plan.inputs.size());
-
-            const auto &outs = plan.iface.outputs;
-            auto low32 = [&](RegId reg) -> RegId {
-                if (isFloatReg(reg)) {
-                    const RegId t = freshInt();
-                    out.append({.op = Op::FBits, .dst = t, .src1 = reg});
-                    return t;
-                }
-                const RegId t = freshInt();
-                out.append({.op = Op::And, .dst = t, .src1 = reg,
-                            .imm = 0xffffffffll});
-                return t;
-            };
-            RegId packed;
-            if (outs.size() == 1) {
-                packed = isFloatReg(outs[0]) ? low32(outs[0]) : outs[0];
-            } else {
-                const RegId lo = low32(outs[0]);
-                const RegId hi = low32(outs[1]);
-                const RegId hiShifted = freshInt();
-                out.append({.op = Op::Shl, .dst = hiShifted, .src1 = hi,
-                            .imm = 32});
-                packed = freshInt();
-                out.append({.op = Op::Or, .dst = packed, .src1 = lo,
-                            .src2 = hiShifted});
-            }
-            out.append({.op = Op::St, .src1 = plan.dataAddr,
-                        .src2 = packed, .imm = outOff,
-                        .size = static_cast<std::uint8_t>(
-                            std::max(4u, plan.outputBytes))});
-            out.append({.op = Op::St, .src1 = plan.validAddr,
-                        .src2 = plan.genReg, .size = 1});
-
-            out.at(pendingHitBr).imm = out.size();
-            pendingHitBr = -1;
-            activePlan = -1;
-        }
-
-        if (i == prog.size()) {
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-            break;
-        }
-
-        const Inst &inst = prog.at(i);
-
-        // ---- region prologue: pool select + linear similarity scan ----
-        if (planIdx < plans.size() && i == plans[planIdx].range.begin) {
-            IactRegionPlan &plan = plans[planIdx];
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-            const std::int64_t outOff =
-                8 * static_cast<std::int64_t>(plan.inputs.size());
-
-            // Runtime dispatch overhead: a dependent bookkeeping chain.
-            if (config.taskOverheadInsts > 0) {
-                const RegId scratch = freshInt();
-                out.append({.op = Op::Movi, .dst = scratch, .imm = 0});
-                for (unsigned k = 1; k < config.taskOverheadInsts; ++k)
-                    out.append({.op = Op::Add, .dst = scratch,
-                                .src1 = scratch, .imm = 1});
-            }
-
-            out.append({.op = Op::Add, .dst = plan.lookupCounter,
-                        .src1 = plan.lookupCounter, .imm = 1});
-
-            // ---- pool select: stripe invocations round-robin across
-            // the per-thread pools ----
-            const RegId vPool = freshInt();
-            out.append({.op = Op::Movi, .dst = vPool,
-                        .imm = static_cast<std::int64_t>(
-                            plan.validBase)});
-            const RegId ePool = freshInt();
-            out.append({.op = Op::Movi, .dst = ePool,
-                        .imm = static_cast<std::int64_t>(plan.dataBase)});
-            const RegId rotorAddr = freshInt();
-            out.append({.op = Op::Movi, .dst = rotorAddr,
-                        .imm = static_cast<std::int64_t>(
-                            plan.rotorBase)});
-            if (config.pools > 1) {
-                const RegId pool = freshInt();
-                out.append({.op = Op::And, .dst = pool,
-                            .src1 = plan.invokeCounter,
-                            .imm = static_cast<std::int64_t>(
-                                config.pools - 1)});
-                out.append({.op = Op::Add, .dst = plan.invokeCounter,
-                            .src1 = plan.invokeCounter, .imm = 1});
-                const RegId vOff = freshInt();
-                out.append({.op = Op::Shl, .dst = vOff, .src1 = pool,
-                            .imm = static_cast<std::int64_t>(
-                                config.log2Entries)});
-                out.append({.op = Op::Add, .dst = vPool, .src1 = vPool,
-                            .src2 = vOff});
-                const RegId eOff = freshInt();
-                out.append({.op = Op::Mul, .dst = eOff, .src1 = pool,
-                            .imm = static_cast<std::int64_t>(entries) *
-                                   plan.entrySize});
-                out.append({.op = Op::Add, .dst = ePool, .src1 = ePool,
-                            .src2 = eOff});
-                out.append({.op = Op::Add, .dst = rotorAddr,
-                            .src1 = rotorAddr, .src2 = pool});
-            }
-
-            // ---- linear scan over the pool's entries ----
-            const RegId slotIdx = freshInt();
-            out.append({.op = Op::Movi, .dst = slotIdx, .imm = 0});
-            const RegId vAddr = freshInt();
-            out.append({.op = Op::Mov, .dst = vAddr, .src1 = vPool});
-            const RegId eAddr = freshInt();
-            out.append({.op = Op::Mov, .dst = eAddr, .src1 = ePool});
-
-            std::vector<InstIndex> toMiss;
-            std::vector<InstIndex> toHit;
-
-            const InstIndex loopHead = out.size();
-            const RegId atEnd = freshInt();
-            out.append({.op = Op::Seq, .dst = atEnd, .src1 = slotIdx,
-                        .imm = static_cast<std::int64_t>(entries)});
-            toMiss.push_back(
-                out.append({.op = Op::Bt, .src1 = atEnd, .imm = 0}));
-
-            std::vector<InstIndex> toNext;
-            const RegId valid = freshInt();
-            out.append({.op = Op::Ld, .dst = valid, .src1 = vAddr,
-                        .imm = 0, .size = 1});
-            const RegId live = freshInt();
-            out.append({.op = Op::Seq, .dst = live, .src1 = valid,
-                        .src2 = plan.genReg});
-            toNext.push_back(
-                out.append({.op = Op::Bf, .src1 = live, .imm = 0}));
-
-            for (std::size_t j = 0; j < plan.inputs.size(); ++j) {
-                const RegId input = plan.inputs[j];
-                const std::int64_t off =
-                    8 * static_cast<std::int64_t>(j);
-                if (isFloatReg(input)) {
-                    const RegId stored = freshFloat();
-                    out.append({.op = Op::Ldf, .dst = stored,
-                                .src1 = eAddr, .imm = off, .size = 4});
-                    emitFloatMatch(input, stored, toNext);
-                } else if (exact) {
-                    const RegId stored = freshInt();
-                    out.append({.op = Op::Ld, .dst = stored,
-                                .src1 = eAddr, .imm = off, .size = 8});
-                    const RegId ok = freshInt();
-                    out.append({.op = Op::Seq, .dst = ok, .src1 = input,
-                                .src2 = stored});
-                    toNext.push_back(out.append(
-                        {.op = Op::Bf, .src1 = ok, .imm = 0}));
-                } else {
-                    const RegId stored = freshInt();
-                    out.append({.op = Op::Ld, .dst = stored,
-                                .src1 = eAddr, .imm = off, .size = 8});
-                    const RegId fin = freshFloat();
-                    out.append(
-                        {.op = Op::CvtIF, .dst = fin, .src1 = input});
-                    const RegId fst = freshFloat();
-                    out.append(
-                        {.op = Op::CvtIF, .dst = fst, .src1 = stored});
-                    emitFloatMatch(fin, fst, toNext);
-                }
-            }
-            toHit.push_back(out.append({.op = Op::Br, .imm = 0}));
-
-            // NEXT: advance to the following slot.
-            for (const InstIndex br : toNext)
-                out.at(br).imm = out.size();
-            out.append({.op = Op::Add, .dst = slotIdx, .src1 = slotIdx,
-                        .imm = 1});
-            out.append({.op = Op::Add, .dst = vAddr, .src1 = vAddr,
-                        .imm = 1});
-            out.append({.op = Op::Add, .dst = eAddr, .src1 = eAddr,
-                        .imm = static_cast<std::int64_t>(
-                            plan.entrySize)});
-            out.append({.op = Op::Br, .imm = loopHead});
-
-            // HIT: reuse the matched entry's stored outputs.
-            for (const InstIndex br : toHit)
-                out.at(br).imm = out.size();
-            out.append({.op = Op::Add, .dst = plan.hitCounter,
-                        .src1 = plan.hitCounter, .imm = 1});
-            const RegId data = freshInt();
-            out.append({.op = Op::Ld, .dst = data, .src1 = eAddr,
-                        .imm = outOff,
-                        .size = static_cast<std::uint8_t>(
-                            std::max(4u, plan.outputBytes))});
-            const auto &outs = plan.iface.outputs;
-            if (outs.size() == 1) {
-                if (isFloatReg(outs[0]))
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = data});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[0],
-                                .src1 = data});
-            } else {
-                if (isFloatReg(outs[0])) {
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = data});
-                } else {
-                    out.append({.op = Op::And, .dst = outs[0],
-                                .src1 = data, .imm = 0xffffffffll});
-                }
-                const RegId hi = freshInt();
-                out.append({.op = Op::Shr, .dst = hi, .src1 = data,
-                            .imm = 32});
-                if (isFloatReg(outs[1]))
-                    out.append({.op = Op::BitsF, .dst = outs[1],
-                                .src1 = hi});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[1],
-                                .src1 = hi});
-            }
-            pendingHitBr = out.append({.op = Op::Br, .imm = 0});
-
-            // MISS: evict FIFO via the pool rotor, remember the victim
-            // slot for the epilogue, and capture the inputs NOW (the
-            // region body may overwrite the input registers).
-            for (const InstIndex br : toMiss)
-                out.at(br).imm = out.size();
-            const RegId slot = freshInt();
-            out.append({.op = Op::Ld, .dst = slot, .src1 = rotorAddr,
-                        .imm = 0, .size = 1});
-            const RegId bumped = freshInt();
-            out.append(
-                {.op = Op::Add, .dst = bumped, .src1 = slot, .imm = 1});
-            const RegId wrapped = freshInt();
-            out.append({.op = Op::And, .dst = wrapped, .src1 = bumped,
-                        .imm = static_cast<std::int64_t>(entries - 1)});
-            out.append({.op = Op::St, .src1 = rotorAddr,
-                        .src2 = wrapped, .size = 1});
-            plan.validAddr = freshInt();
-            out.append({.op = Op::Add, .dst = plan.validAddr,
-                        .src1 = vPool, .src2 = slot});
-            const RegId victimOff = freshInt();
-            out.append({.op = Op::Mul, .dst = victimOff, .src1 = slot,
-                        .imm = static_cast<std::int64_t>(
-                            plan.entrySize)});
-            plan.dataAddr = freshInt();
-            out.append({.op = Op::Add, .dst = plan.dataAddr,
-                        .src1 = ePool, .src2 = victimOff});
-            for (std::size_t j = 0; j < plan.inputs.size(); ++j) {
-                const RegId input = plan.inputs[j];
-                const std::int64_t off =
-                    8 * static_cast<std::int64_t>(j);
-                if (isFloatReg(input))
-                    out.append({.op = Op::Stf, .src1 = plan.dataAddr,
-                                .src2 = input, .imm = off, .size = 4});
-                else
-                    out.append({.op = Op::St, .src1 = plan.dataAddr,
-                                .src2 = input, .imm = off, .size = 8});
-            }
-
-            activePlan = static_cast<int>(planIdx);
-            ++planIdx;
-
-            RegionTransformInfo info;
-            info.regionId = plan.spec.regionId;
-            info.lut = plan.spec.lut;
-            info.numInputs = static_cast<unsigned>(plan.inputs.size());
-            for (RegId input : plan.inputs)
-                info.inputBytes += isFloatReg(input) ? 4 : 8;
-            info.numOutputs = static_cast<unsigned>(outs.size());
-            info.outputBytes = plan.outputBytes;
-            result.regions.push_back(info);
-            result.counters.push_back({plan.spec.regionId,
-                                       IReg{plan.lookupCounter},
-                                       IReg{plan.hitCounter}});
-            // fall through to copy the body instruction
-        }
-
-        if (inst.op == Op::RegionBegin || inst.op == Op::RegionEnd) {
-            if (oldToNew[static_cast<std::size_t>(i)] < 0)
-                oldToNew[static_cast<std::size_t>(i)] = out.size();
-            if (inst.op == Op::RegionBegin) {
-                const auto it = spec.invalidateAt.find(
-                    static_cast<int>(inst.imm));
-                if (it != spec.invalidateAt.end()) {
-                    for (LutId lut : it->second) {
-                        for (IactRegionPlan *plan : plansForLut(lut)) {
-                            // gen = (gen + 1) & 0xff, as in the software
-                            // transform: stale entries mismatch on their
-                            // generation byte, no memory sweep needed.
-                            out.append({.op = Op::Add,
-                                        .dst = plan->genReg,
-                                        .src1 = plan->genReg, .imm = 1});
-                            out.append({.op = Op::And,
-                                        .dst = plan->genReg,
-                                        .src1 = plan->genReg,
-                                        .imm = 0xff});
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        if (oldToNew[static_cast<std::size_t>(i)] < 0)
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-        const InstIndex newIdx = out.append(inst);
-        if (inst.isBranch())
-            fixups.push_back({newIdx, inst.imm, activePlan});
-    }
-
-    for (const BranchFixup &fix : fixups) {
-        InstIndex target;
-        if (fix.regionPlan >= 0 &&
-            fix.oldTarget ==
-                plans[static_cast<std::size_t>(fix.regionPlan)]
-                    .range.end) {
-            target = plans[static_cast<std::size_t>(fix.regionPlan)]
-                         .packStart;
-        } else {
-            target = oldToNew[static_cast<std::size_t>(fix.oldTarget)];
-        }
-        if (target < 0)
-            axm_panic(prog.name(),
-                      ": iact transform lost branch target ",
-                      fix.oldTarget);
-        out.at(fix.newIdx).imm = target;
-    }
-
-    out.verify();
-    result.program = std::move(out);
-    return result;
+    return IactRewriter(prog, spec, mem, config).run("+iact");
 }
 
 } // namespace axmemo

@@ -11,20 +11,35 @@
  *   |x - x_stored| <= threshold * |x_stored|   for every input x.
  *
  * IactTransform rewrites each hinted region accordingly, entirely in
- * software in simulated memory:
+ * software in simulated memory. It is a probe and a fill on the shared
+ * region rewriter (region_rewriter.hh):
  *
  *  - Pools: `pools` independent tables model per-thread memo pools;
  *    invocations stripe round-robin across them, so each pool sees the
  *    disjoint slice of work a worker thread would.
  *  - Tables: 2^log2Entries entries per pool, scanned linearly (the
  *    tables are deliberately tiny — iACT's design point), replaced
- *    FIFO via a per-pool rotor byte.
- *  - Matching: per-input relative-error compare; float inputs compare
+ *    FIFO via a per-pool rotor byte. The miss path captures the inputs
+ *    into the victim entry before the body runs; the fill adds the
+ *    outputs.
+ *  - Matching: per-input relative-error compare in single precision
+ *    (the threshold is rounded to float); float inputs compare
  *    natively, integer inputs through int->float conversion. A zero
  *    threshold degenerates to exact equality (Feq / Seq), so
  *    threshold=0 reproduces exact software memoization semantics on
- *    the pool-sized table.
- *  - Invalidation: the generation byte scheme of software_transform
+ *    the pool-sized table. At the edges:
+ *      - -0 and +0 match each other; a stored zero has no slack, so
+ *        only a zero input matches it.
+ *      - NaN on either side never matches.
+ *      - Above threshold 0 a stored +-Inf has infinite tolerance: any
+ *        finite input, and the opposite infinity, matches it, while
+ *        the same infinity misses (Inf - Inf is NaN). At threshold 0,
+ *        Feq matches equal infinities.
+ *      - A denormal's tolerance can round to 0, leaving exact matches.
+ *      - Integers that convert to the same float (2^24 and 2^24 + 1)
+ *        match at any threshold above 0, but not at 0 (Seq compares
+ *        the integers).
+ *  - Invalidation: the generation byte scheme of the software LUT
  *    (invalidate points bump a generation register; stale entries
  *    mismatch without sweeping memory).
  *

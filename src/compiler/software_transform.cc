@@ -1,59 +1,224 @@
 #include "compiler/software_transform.hh"
 
 #include <algorithm>
-#include <map>
-#include <optional>
+#include <utility>
 
 #include "common/bits.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
+#include "compiler/region_rewriter.hh"
 #include "crc/crc.hh"
-#include "isa/analysis.hh"
 
 namespace axmemo {
 
 namespace {
 
-struct SwRegionPlan
+/** The software hash, index/probe and fill; see software_transform.hh. */
+class SoftwareRewriter final : public GenerationLutRewriter
 {
-    RegionMemoSpec spec;
-    InstRange range;
-    RangeInterface iface;
-    unsigned outputBytes = 0;
+  public:
+    SoftwareRewriter(const Program &prog, const MemoSpec &spec,
+                     SimMemory &mem, const SwMemoConfig &config)
+        : GenerationLutRewriter(prog, spec), config_(config),
+          engine_(CrcSpec::crc32()), regions_(plans_.size())
+    {
+        // The byte-wise CRC table lives in simulated memory (one table
+        // shared by all regions), loaded with the same constants the
+        // hardware RAM holds.
+        if (config.hash == SwHashKind::TableCrc) {
+            tableBase_ = mem.allocate(256 * 4);
+            for (unsigned i = 0; i < 256; ++i)
+                mem.write32(tableBase_ + 4 * i,
+                            static_cast<std::uint32_t>(engine_.table()[i]));
+        }
+        const std::uint64_t entries = 1ull << config.log2Entries;
+        Rng rng(config.seed);
+        for (const RegionPlan *plan : specOrder()) {
+            Region &region = regions_[plan->index];
+            region.dataBase = mem.allocate(entries * 8);
+            region.validBase = mem.allocate(entries);
+            if (config.hash != SwHashKind::ByteSample)
+                continue;
+            // ATM: concatenate the inputs into one byte vector, shuffle
+            // the index vector, sample the first n bytes.
+            std::vector<std::pair<RegId, unsigned>> allBytes;
+            for (RegId input : plan->inputs) {
+                for (unsigned b = 0; b < sizeFor(plan->spec, input); ++b)
+                    allBytes.emplace_back(input, b);
+            }
+            for (std::size_t k = allBytes.size(); k > 1; --k)
+                std::swap(allBytes[k - 1], allBytes[rng.below(k)]);
+            const std::size_t n =
+                std::min<std::size_t>(config.sampleBytes, allBytes.size());
+            region.samples.assign(allBytes.begin(), allBytes.begin() + n);
+        }
+    }
 
-    // Simulated-memory layout of this region's LUT.
-    Addr dataBase = 0;
-    Addr validBase = 0;
+  protected:
+    void
+    emitSetup() override
+    {
+        for (const RegionPlan &plan : plans_)
+            setupTable(plan);
+    }
 
-    // Registers created in the prologue and reused by the epilogue.
-    RegId dataAddr = invalidReg;
-    RegId validAddr = invalidReg;
-    RegId genReg = invalidReg;
-    RegId hitCounter = invalidReg;
-    RegId lookupCounter = invalidReg;
+    RegId
+    emitProbe(const RegionPlan &plan, std::vector<InstIndex> &toMiss) override
+    {
+        Table &t = table(plan);
+        const Region &region = regions_[plan.index];
+        emitTaskOverhead(config_.taskOverheadInsts);
+        count(t.lookups);
+        const RegId hash = config_.hash == SwHashKind::TableCrc
+                               ? emitTableCrc(plan)
+                               : emitSampleHash(plan, region);
 
-    // ATM sampling plan: (input position, byte offset) per sample.
-    std::vector<std::pair<unsigned, unsigned>> samples;
+        // ---- index + probe ----
+        const RegId idx = freshInt();
+        emit({.op = Op::And, .dst = idx, .src1 = hash,
+              .imm = static_cast<std::int64_t>(
+                  (1ull << config_.log2Entries) - 1)});
+        t.validAddr = freshInt();
+        const RegId vBase = freshInt();
+        emit({.op = Op::Movi, .dst = vBase,
+              .imm = static_cast<std::int64_t>(region.validBase)});
+        emit({.op = Op::Add, .dst = t.validAddr, .src1 = vBase,
+              .src2 = idx});
+        const RegId dOff = freshInt();
+        emit({.op = Op::Shl, .dst = dOff, .src1 = idx, .imm = 3});
+        const RegId dBase = freshInt();
+        emit({.op = Op::Movi, .dst = dBase,
+              .imm = static_cast<std::int64_t>(region.dataBase)});
+        t.dataAddr = freshInt();
+        emit({.op = Op::Add, .dst = t.dataAddr, .src1 = dBase,
+              .src2 = dOff});
 
-    InstIndex packStart = -1;
+        const RegId valid = freshInt();
+        emit({.op = Op::Ld, .dst = valid, .src1 = t.validAddr, .size = 1});
+        const RegId isHit = freshInt();
+        emit({.op = Op::Seq, .dst = isHit, .src1 = valid, .src2 = t.gen});
+        toMiss.push_back(emit({.op = Op::Bf, .src1 = isHit}));
+
+        count(t.hits);
+        const RegId data = freshInt();
+        emit({.op = Op::Ld, .dst = data, .src1 = t.dataAddr,
+              .size = static_cast<std::uint8_t>(plan.info.outputBytes)});
+        return data;
+    }
+
+    void
+    emitFill(const RegionPlan &plan, RegId packed) override
+    {
+        storeEntry(plan, packed, 0);
+    }
+
+  private:
+    /** One region's array bases and ATM's (input, byte) samples. */
+    struct Region
+    {
+        Addr dataBase = 0;
+        Addr validBase = 0;
+        std::vector<std::pair<RegId, unsigned>> samples;
+    };
+
+    /** Raw (truncated) bit pattern of @p input in an integer register. */
+    RegId
+    emitRawBits(const RegionMemoSpec &rs, RegId input)
+    {
+        RegId raw = input;
+        if (isFloatReg(input)) {
+            raw = freshInt();
+            emit({.op = Op::FBits, .dst = raw, .src1 = input});
+        }
+        const unsigned trunc = truncFor(rs, input);
+        if (trunc > 0) {
+            const RegId t = freshInt();
+            emit({.op = Op::And, .dst = t, .src1 = raw,
+                  .imm = static_cast<std::int64_t>(~maskLow(trunc))});
+            raw = t;
+        }
+        return raw;
+    }
+
+    /** Byte @p b of @p raw (unmasked above the byte). */
+    RegId
+    emitByte(RegId raw, unsigned b)
+    {
+        if (b == 0)
+            return raw;
+        const RegId byte = freshInt();
+        emit({.op = Op::Shr, .dst = byte, .src1 = raw,
+              .imm = 8 * static_cast<std::int64_t>(b)});
+        return byte;
+    }
+
+    /** Table-driven CRC32 over every input byte. */
+    RegId
+    emitTableCrc(const RegionPlan &plan)
+    {
+        const RegId hash = freshInt();
+        emit({.op = Op::Movi, .dst = hash,
+              .imm = static_cast<std::int64_t>(engine_.initial())});
+        const RegId tblReg = freshInt();
+        emit({.op = Op::Movi, .dst = tblReg,
+              .imm = static_cast<std::int64_t>(tableBase_)});
+        for (RegId input : plan.inputs) {
+            const RegId raw = emitRawBits(plan.spec, input);
+            for (unsigned b = 0; b < sizeFor(plan.spec, input); ++b) {
+                // idx = (hash >> 24) ^ byte; table-driven step:
+                // hash = (hash << 8) ^ table[idx & 0xff]
+                const RegId byteReg = emitByte(raw, b);
+                const RegId top = freshInt();
+                emit({.op = Op::Shr, .dst = top, .src1 = hash, .imm = 24});
+                const RegId mixed = freshInt();
+                emit({.op = Op::Xor, .dst = mixed, .src1 = top,
+                      .src2 = byteReg});
+                const RegId idx8 = freshInt();
+                emit({.op = Op::And, .dst = idx8, .src1 = mixed,
+                      .imm = 0xff});
+                const RegId off = freshInt();
+                emit({.op = Op::Shl, .dst = off, .src1 = idx8, .imm = 2});
+                const RegId ea = freshInt();
+                emit({.op = Op::Add, .dst = ea, .src1 = tblReg,
+                      .src2 = off});
+                const RegId tv = freshInt();
+                emit({.op = Op::Ld, .dst = tv, .src1 = ea, .size = 4});
+                const RegId shifted = freshInt();
+                emit({.op = Op::Shl, .dst = shifted, .src1 = hash,
+                      .imm = 8});
+                const RegId masked = freshInt();
+                emit({.op = Op::And, .dst = masked, .src1 = shifted,
+                      .imm = 0xffffffffll});
+                emit({.op = Op::Xor, .dst = hash, .src1 = masked,
+                      .src2 = tv});
+            }
+        }
+        return hash;
+    }
+
+    /** ATM byte sampling: h = h*31 + sampled byte. */
+    RegId
+    emitSampleHash(const RegionPlan &plan, const Region &region)
+    {
+        const RegId hash = freshInt();
+        emit({.op = Op::Movi, .dst = hash, .imm = 17});
+        for (const auto &[input, byteOff] : region.samples) {
+            const RegId byteReg =
+                emitByte(emitRawBits(plan.spec, input), byteOff);
+            const RegId b = freshInt();
+            emit({.op = Op::And, .dst = b, .src1 = byteReg, .imm = 0xff});
+            const RegId scaled = freshInt();
+            emit({.op = Op::Mul, .dst = scaled, .src1 = hash, .imm = 31});
+            emit({.op = Op::Add, .dst = hash, .src1 = scaled, .src2 = b});
+        }
+        return hash;
+    }
+
+    const SwMemoConfig config_;
+    const CrcEngine engine_;
+    Addr tableBase_ = 0;
+    std::vector<Region> regions_;
 };
-
-unsigned
-truncFor(const RegionMemoSpec &spec, RegId reg)
-{
-    const auto it = spec.truncOverride.find(reg);
-    return it != spec.truncOverride.end() ? it->second : spec.truncBits;
-}
-
-unsigned
-sizeFor(const RegionMemoSpec &spec, RegId reg)
-{
-    if (isFloatReg(reg))
-        return 4;
-    const auto it = spec.sizeOverride.find(reg);
-    return it != spec.sizeOverride.end() ? it->second
-                                         : spec.intInputBytes;
-}
 
 } // namespace
 
@@ -63,435 +228,7 @@ SoftwareMemoTransform::apply(const Program &prog, const MemoSpec &spec,
 {
     if (config.log2Entries < 8 || config.log2Entries > 28)
         axm_fatal("software LUT log2Entries must be in [8, 28]");
-
-    const Liveness liveness(prog);
-    const std::uint64_t entries = 1ull << config.log2Entries;
-
-    // The byte-wise CRC table lives in simulated memory (one table shared
-    // by all regions), loaded with the same constants the hardware RAM
-    // holds.
-    const CrcEngine engine(CrcSpec::crc32());
-    Addr tableBase = 0;
-    if (config.hash == SwHashKind::TableCrc) {
-        tableBase = mem.allocate(256 * 4);
-        for (unsigned i = 0; i < 256; ++i)
-            mem.write32(tableBase + 4 * i,
-                        static_cast<std::uint32_t>(engine.table()[i]));
-    }
-
-    // ---- plan regions ----
-    std::vector<SwRegionPlan> plans;
-    Rng rng(config.seed);
-    for (const RegionMemoSpec &rs : spec.regions) {
-        const auto it = prog.regions().find(rs.regionId);
-        if (it == prog.regions().end())
-            axm_fatal(prog.name(), ": no hinted region ", rs.regionId);
-        SwRegionPlan plan;
-        plan.spec = rs;
-        plan.range = it->second;
-        plan.iface = analyzeRange(prog, liveness, plan.range);
-        if (plan.iface.hasStores || plan.iface.escapes)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " ineligible for software memoization");
-        if (plan.iface.outputs.empty() || plan.iface.outputs.size() > 2)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " must have 1-2 outputs");
-        plan.outputBytes =
-            4 * static_cast<unsigned>(plan.iface.outputs.size());
-        plan.dataBase = mem.allocate(entries * 8);
-        plan.validBase = mem.allocate(entries);
-
-        if (config.hash == SwHashKind::ByteSample) {
-            // ATM: concatenate the inputs into one byte vector, shuffle
-            // the index vector, sample the first n bytes.
-            std::vector<std::pair<unsigned, unsigned>> allBytes;
-            for (unsigned k = 0; k < plan.iface.inputs.size(); ++k) {
-                if (rs.excludeInputs.count(plan.iface.inputs[k]))
-                    continue;
-                const unsigned bytes = sizeFor(rs, plan.iface.inputs[k]);
-                for (unsigned b = 0; b < bytes; ++b)
-                    allBytes.emplace_back(k, b);
-            }
-            for (std::size_t k = allBytes.size(); k > 1; --k)
-                std::swap(allBytes[k - 1], allBytes[rng.below(k)]);
-            const std::size_t n =
-                std::min<std::size_t>(config.sampleBytes,
-                                      allBytes.size());
-            plan.samples.assign(allBytes.begin(), allBytes.begin() + n);
-        }
-        plans.push_back(std::move(plan));
-    }
-
-    std::sort(plans.begin(), plans.end(),
-              [](const SwRegionPlan &a, const SwRegionPlan &b) {
-                  return a.range.begin < b.range.begin;
-              });
-    for (std::size_t i = 1; i < plans.size(); ++i) {
-        if (plans[i].range.begin < plans[i - 1].range.end)
-            axm_fatal(prog.name(), ": memoized regions overlap");
-    }
-
-    unsigned nextInt = prog.numIntRegs();
-    auto freshInt = [&nextInt] { return iregId(nextInt++); };
-
-    SwTransformResult result;
-    Program out(prog.name() + "+swmemo");
-    std::vector<InstIndex> oldToNew(
-        static_cast<std::size_t>(prog.size()) + 1, -1);
-
-    struct BranchFixup
-    {
-        InstIndex newIdx;
-        InstIndex oldTarget;
-        int regionPlan;
-    };
-    std::vector<BranchFixup> fixups;
-
-    // Generation registers (invalidation support), one per region,
-    // initialized to 1 at program entry (memory zeroes mean "invalid").
-    std::map<int, RegId> genRegOf;
-    for (SwRegionPlan &plan : plans) {
-        plan.genReg = freshInt();
-        plan.lookupCounter = freshInt();
-        plan.hitCounter = freshInt();
-        genRegOf[plan.spec.regionId] = plan.genReg;
-        out.append({.op = Op::Movi, .dst = plan.genReg, .imm = 1});
-        out.append({.op = Op::Movi, .dst = plan.lookupCounter, .imm = 0});
-        out.append({.op = Op::Movi, .dst = plan.hitCounter, .imm = 0});
-    }
-
-    // Map from LUT id to plans using it (invalidate points name LUTs).
-    auto plansForLut = [&plans](LutId lut) {
-        std::vector<SwRegionPlan *> matching;
-        for (SwRegionPlan &plan : plans) {
-            if (plan.spec.lut == lut)
-                matching.push_back(&plan);
-        }
-        return matching;
-    };
-
-    std::size_t planIdx = 0;
-    int activePlan = -1;
-    InstIndex pendingHitBr = -1;
-
-    // Convenience emitters ------------------------------------------------
-    const std::int64_t indexMask =
-        static_cast<std::int64_t>(entries - 1);
-
-    auto emitRawBits = [&](const RegionMemoSpec &rs, RegId input) {
-        // Raw (truncated) bit pattern of an input in an integer register.
-        RegId raw;
-        if (isFloatReg(input)) {
-            raw = freshInt();
-            out.append({.op = Op::FBits, .dst = raw, .src1 = input});
-        } else {
-            raw = input;
-        }
-        const unsigned trunc = truncFor(rs, input);
-        if (trunc > 0) {
-            const RegId t = freshInt();
-            out.append({.op = Op::And, .dst = t, .src1 = raw,
-                        .imm = static_cast<std::int64_t>(
-                            ~maskLow(trunc))});
-            raw = t;
-        }
-        return raw;
-    };
-
-    for (InstIndex i = 0; i <= prog.size(); ++i) {
-        // ---- region epilogue ----
-        if (activePlan >= 0 &&
-            i == plans[static_cast<std::size_t>(activePlan)].range.end) {
-            SwRegionPlan &plan =
-                plans[static_cast<std::size_t>(activePlan)];
-            plan.packStart = out.size();
-
-            // Pack outputs into one integer register.
-            const auto &outs = plan.iface.outputs;
-            auto low32 = [&](RegId reg) -> RegId {
-                if (isFloatReg(reg)) {
-                    const RegId t = freshInt();
-                    out.append({.op = Op::FBits, .dst = t, .src1 = reg});
-                    return t;
-                }
-                const RegId t = freshInt();
-                out.append({.op = Op::And, .dst = t, .src1 = reg,
-                            .imm = 0xffffffffll});
-                return t;
-            };
-            RegId packed;
-            if (outs.size() == 1) {
-                packed = isFloatReg(outs[0]) ? low32(outs[0]) : outs[0];
-            } else {
-                const RegId lo = low32(outs[0]);
-                const RegId hi = low32(outs[1]);
-                const RegId hiShifted = freshInt();
-                out.append({.op = Op::Shl, .dst = hiShifted, .src1 = hi,
-                            .imm = 32});
-                packed = freshInt();
-                out.append({.op = Op::Or, .dst = packed, .src1 = lo,
-                            .src2 = hiShifted});
-            }
-            out.append({.op = Op::St, .src1 = plan.dataAddr,
-                        .src2 = packed,
-                        .size = static_cast<std::uint8_t>(
-                            std::max(4u, plan.outputBytes))});
-            out.append({.op = Op::St, .src1 = plan.validAddr,
-                        .src2 = plan.genReg, .size = 1});
-
-            out.at(pendingHitBr).imm = out.size();
-            pendingHitBr = -1;
-            activePlan = -1;
-        }
-
-        if (i == prog.size()) {
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-            break;
-        }
-
-        const Inst &inst = prog.at(i);
-
-        // ---- region prologue ----
-        if (planIdx < plans.size() && i == plans[planIdx].range.begin) {
-            SwRegionPlan &plan = plans[planIdx];
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-
-            // ATM's task dispatch overhead: a dependent bookkeeping chain.
-            if (config.taskOverheadInsts > 0) {
-                const RegId scratch = freshInt();
-                out.append({.op = Op::Movi, .dst = scratch, .imm = 0});
-                for (unsigned k = 1; k < config.taskOverheadInsts; ++k)
-                    out.append({.op = Op::Add, .dst = scratch,
-                                .src1 = scratch, .imm = 1});
-            }
-
-            out.append({.op = Op::Add, .dst = plan.lookupCounter,
-                        .src1 = plan.lookupCounter, .imm = 1});
-
-            // ---- hash ----
-            const RegId hash = freshInt();
-            if (config.hash == SwHashKind::TableCrc) {
-                out.append({.op = Op::Movi, .dst = hash,
-                            .imm = static_cast<std::int64_t>(
-                                engine.initial())});
-                const RegId tblReg = freshInt();
-                out.append({.op = Op::Movi, .dst = tblReg,
-                            .imm = static_cast<std::int64_t>(tableBase)});
-                for (RegId input : plan.iface.inputs) {
-                    if (plan.spec.excludeInputs.count(input))
-                        continue;
-                    const RegId raw = emitRawBits(plan.spec, input);
-                    const unsigned bytes = sizeFor(plan.spec, input);
-                    for (unsigned b = 0; b < bytes; ++b) {
-                        // idx = (hash >> 24) ^ byte; table-driven step:
-                        // hash = (hash << 8) ^ table[idx & 0xff]
-                        RegId byteReg = raw;
-                        if (b > 0) {
-                            byteReg = freshInt();
-                            out.append({.op = Op::Shr, .dst = byteReg,
-                                        .src1 = raw,
-                                        .imm = 8 *
-                                               static_cast<std::int64_t>(
-                                                   b)});
-                        }
-                        const RegId top = freshInt();
-                        out.append({.op = Op::Shr, .dst = top,
-                                    .src1 = hash, .imm = 24});
-                        const RegId mixed = freshInt();
-                        out.append({.op = Op::Xor, .dst = mixed,
-                                    .src1 = top, .src2 = byteReg});
-                        const RegId idx8 = freshInt();
-                        out.append({.op = Op::And, .dst = idx8,
-                                    .src1 = mixed, .imm = 0xff});
-                        const RegId off = freshInt();
-                        out.append({.op = Op::Shl, .dst = off,
-                                    .src1 = idx8, .imm = 2});
-                        const RegId ea = freshInt();
-                        out.append({.op = Op::Add, .dst = ea,
-                                    .src1 = tblReg, .src2 = off});
-                        const RegId tv = freshInt();
-                        out.append({.op = Op::Ld, .dst = tv, .src1 = ea,
-                                    .imm = 0, .size = 4});
-                        const RegId shifted = freshInt();
-                        out.append({.op = Op::Shl, .dst = shifted,
-                                    .src1 = hash, .imm = 8});
-                        const RegId masked = freshInt();
-                        out.append({.op = Op::And, .dst = masked,
-                                    .src1 = shifted,
-                                    .imm = 0xffffffffll});
-                        out.append({.op = Op::Xor, .dst = hash,
-                                    .src1 = masked, .src2 = tv});
-                    }
-                }
-            } else {
-                // ATM byte sampling: h = h*31 + sampled byte.
-                out.append({.op = Op::Movi, .dst = hash, .imm = 17});
-                for (const auto &[inputPos, byteOff] : plan.samples) {
-                    const RegId input = plan.iface.inputs[inputPos];
-                    const RegId raw = emitRawBits(plan.spec, input);
-                    RegId byteReg = raw;
-                    if (byteOff > 0) {
-                        byteReg = freshInt();
-                        out.append({.op = Op::Shr, .dst = byteReg,
-                                    .src1 = raw,
-                                    .imm = 8 * static_cast<std::int64_t>(
-                                                   byteOff)});
-                    }
-                    const RegId b = freshInt();
-                    out.append({.op = Op::And, .dst = b, .src1 = byteReg,
-                                .imm = 0xff});
-                    const RegId scaled = freshInt();
-                    out.append({.op = Op::Mul, .dst = scaled,
-                                .src1 = hash, .imm = 31});
-                    out.append({.op = Op::Add, .dst = hash,
-                                .src1 = scaled, .src2 = b});
-                }
-            }
-
-            // ---- index + probe ----
-            const RegId idx = freshInt();
-            out.append({.op = Op::And, .dst = idx, .src1 = hash,
-                        .imm = indexMask});
-            plan.validAddr = freshInt();
-            const RegId vBase = freshInt();
-            out.append({.op = Op::Movi, .dst = vBase,
-                        .imm = static_cast<std::int64_t>(
-                            plan.validBase)});
-            out.append({.op = Op::Add, .dst = plan.validAddr,
-                        .src1 = vBase, .src2 = idx});
-            const RegId dOff = freshInt();
-            out.append({.op = Op::Shl, .dst = dOff, .src1 = idx,
-                        .imm = 3});
-            const RegId dBase = freshInt();
-            out.append({.op = Op::Movi, .dst = dBase,
-                        .imm = static_cast<std::int64_t>(
-                            plan.dataBase)});
-            plan.dataAddr = freshInt();
-            out.append({.op = Op::Add, .dst = plan.dataAddr,
-                        .src1 = dBase, .src2 = dOff});
-
-            const RegId valid = freshInt();
-            out.append({.op = Op::Ld, .dst = valid,
-                        .src1 = plan.validAddr, .imm = 0, .size = 1});
-            const RegId isHit = freshInt();
-            out.append({.op = Op::Seq, .dst = isHit, .src1 = valid,
-                        .src2 = plan.genReg});
-            const InstIndex missBr =
-                out.append({.op = Op::Bf, .src1 = isHit, .imm = 0});
-
-            // ---- hit path ----
-            out.append({.op = Op::Add, .dst = plan.hitCounter,
-                        .src1 = plan.hitCounter, .imm = 1});
-            const RegId data = freshInt();
-            out.append({.op = Op::Ld, .dst = data, .src1 = plan.dataAddr,
-                        .imm = 0,
-                        .size = static_cast<std::uint8_t>(
-                            std::max(4u, plan.outputBytes))});
-            const auto &outs = plan.iface.outputs;
-            if (outs.size() == 1) {
-                if (isFloatReg(outs[0]))
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = data});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[0],
-                                .src1 = data});
-            } else {
-                if (isFloatReg(outs[0])) {
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = data});
-                } else {
-                    out.append({.op = Op::And, .dst = outs[0],
-                                .src1 = data, .imm = 0xffffffffll});
-                }
-                const RegId hi = freshInt();
-                out.append({.op = Op::Shr, .dst = hi, .src1 = data,
-                            .imm = 32});
-                if (isFloatReg(outs[1]))
-                    out.append({.op = Op::BitsF, .dst = outs[1],
-                                .src1 = hi});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[1],
-                                .src1 = hi});
-            }
-            pendingHitBr = out.append({.op = Op::Br, .imm = 0});
-            out.at(missBr).imm = out.size();
-
-            activePlan = static_cast<int>(planIdx);
-            ++planIdx;
-
-            RegionTransformInfo info;
-            info.regionId = plan.spec.regionId;
-            info.lut = plan.spec.lut;
-            for (RegId input : plan.iface.inputs) {
-                if (plan.spec.excludeInputs.count(input))
-                    continue;
-                ++info.numInputs;
-                info.inputBytes += sizeFor(plan.spec, input);
-            }
-            info.numOutputs = static_cast<unsigned>(outs.size());
-            info.outputBytes = plan.outputBytes;
-            result.regions.push_back(info);
-            result.counters.push_back({plan.spec.regionId,
-                                       IReg{plan.lookupCounter},
-                                       IReg{plan.hitCounter}});
-            // fall through to copy the body instruction
-        }
-
-        if (inst.op == Op::RegionBegin || inst.op == Op::RegionEnd) {
-            if (oldToNew[static_cast<std::size_t>(i)] < 0)
-                oldToNew[static_cast<std::size_t>(i)] = out.size();
-            if (inst.op == Op::RegionBegin) {
-                const auto it = spec.invalidateAt.find(
-                    static_cast<int>(inst.imm));
-                if (it != spec.invalidateAt.end()) {
-                    for (LutId lut : it->second) {
-                        for (SwRegionPlan *plan : plansForLut(lut)) {
-                            // gen = (gen + 1) & 0xff, matching the one
-                            // byte stored per entry. (A wrap to 0 could
-                            // resurrect never-written entries; programs
-                            // invalidate far fewer than 255 times.)
-                            out.append({.op = Op::Add,
-                                        .dst = plan->genReg,
-                                        .src1 = plan->genReg, .imm = 1});
-                            out.append({.op = Op::And,
-                                        .dst = plan->genReg,
-                                        .src1 = plan->genReg,
-                                        .imm = 0xff});
-                        }
-                    }
-                }
-            }
-            continue;
-        }
-
-        if (oldToNew[static_cast<std::size_t>(i)] < 0)
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-        const InstIndex newIdx = out.append(inst);
-        if (inst.isBranch())
-            fixups.push_back({newIdx, inst.imm, activePlan});
-    }
-
-    for (const BranchFixup &fix : fixups) {
-        InstIndex target;
-        if (fix.regionPlan >= 0 &&
-            fix.oldTarget ==
-                plans[static_cast<std::size_t>(fix.regionPlan)]
-                    .range.end) {
-            target = plans[static_cast<std::size_t>(fix.regionPlan)]
-                         .packStart;
-        } else {
-            target = oldToNew[static_cast<std::size_t>(fix.oldTarget)];
-        }
-        if (target < 0)
-            axm_panic(prog.name(),
-                      ": software transform lost branch target ",
-                      fix.oldTarget);
-        out.at(fix.newIdx).imm = target;
-    }
-
-    out.verify();
-    result.program = std::move(out);
-    return result;
+    return SoftwareRewriter(prog, spec, mem, config).run("+swmemo");
 }
 
 } // namespace axmemo

@@ -3,7 +3,9 @@
  * Software memoization baselines (Section 6.2).
  *
  * SoftwareMemoTransform rewrites hinted regions into pure-software
- * memoization with no hardware support:
+ * memoization with no hardware support. Its probe and fill plug into
+ * the region rewriter every transform shares (region_rewriter.hh), so
+ * it memoizes exactly the regions the hardware pass would:
  *
  *  - Hash: either the 8-bit-parallel table-driven CRC the paper's software
  *    contender uses (a table load, XORs, shifts and masks per input byte),

@@ -1,372 +1,113 @@
 #include "compiler/transform.hh"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 
-#include "common/bits.hh"
-#include "common/log.hh"
-#include "isa/analysis.hh"
+#include "compiler/region_rewriter.hh"
 
 namespace axmemo {
 
 namespace {
 
-/** Everything the emitter needs to know about one region being rewritten. */
-struct RegionPlan
+/** The memo-unit probe and fill of Fig. 1; see transform.hh. */
+class HardwareRewriter final : public RegionRewriter
 {
-    RegionMemoSpec spec;
-    InstRange range;
-    RangeInterface iface;
-    /** Old indices of loads fused into ld_crc (load order preserved). */
-    std::map<InstIndex, RegId> fusedLoads;
-    /** Inputs still needing an explicit reg_crc (first-use order). */
-    std::vector<RegId> regCrcInputs;
-    unsigned outputBytes = 0;
-    /** Filled during emission. */
-    InstIndex packStart = -1;
+  public:
+    HardwareRewriter(const Program &prog, const MemoSpec &spec)
+        : RegionRewriter(prog, spec), regCrcInputs_(plans_.size())
+    {
+        // ld_crc fusion: for each input, look for the defining load in
+        // the straight-line window just before the region. Eligible when
+        // nothing redefines the register afterwards, no control flow
+        // intervenes, and no branch lands between the load and the
+        // region entry. A load streams to one LUT at most: once fused it
+        // is an ld_crc, which no later region fuses again.
+        std::vector<char> isBranchTarget(
+            static_cast<std::size_t>(source_.size()) + 1, 0);
+        for (const Inst &inst : source_.insts()) {
+            if (inst.isBranch())
+                isBranchTarget[static_cast<std::size_t>(inst.imm)] = 1;
+        }
+        for (RegionPlan *plan : specOrder()) {
+            for (RegId input : plan->inputs) {
+                Inst *fuse = nullptr;
+                for (InstIndex j = plan->range.begin - 1; j >= 0; --j) {
+                    Inst &cand = source_.at(j);
+                    if (cand.isBranch() || cand.op == Op::Halt)
+                        break; // control flow: stop searching
+                    if (isBranchTarget[static_cast<std::size_t>(j + 1)])
+                        break; // something jumps between j and the region
+                    if (operandsOf(cand).dest == input) {
+                        if (cand.op == Op::Ld || cand.op == Op::Ldf)
+                            fuse = &cand;
+                        break; // defined here (load or not), stop
+                    }
+                    // Window bound: the load block before a region is
+                    // small.
+                    if (plan->range.begin - j > 64)
+                        break;
+                }
+                if (fuse) {
+                    // Same destination, same access.
+                    fuse->op = Op::LdCrc;
+                    fuse->lut = plan->spec.lut;
+                    fuse->truncBits = static_cast<std::uint8_t>(
+                        truncFor(plan->spec, input));
+                    ++plan->info.fusedLoads;
+                } else {
+                    regCrcInputs_[plan->index].push_back(input);
+                }
+            }
+        }
+    }
+
+  protected:
+    RegId
+    emitProbe(const RegionPlan &plan, std::vector<InstIndex> &toMiss) override
+    {
+        for (RegId input : regCrcInputs_[plan.index]) {
+            emit({.op = Op::RegCrc, .src1 = input,
+                  .size = static_cast<std::uint8_t>(
+                      sizeFor(plan.spec, input)),
+                  .lut = plan.spec.lut,
+                  .truncBits = static_cast<std::uint8_t>(
+                      truncFor(plan.spec, input))});
+        }
+        const RegId found = freshInt();
+        emit({.op = Op::Lookup, .dst = found, .lut = plan.spec.lut});
+        toMiss.push_back(emit({.op = Op::BrMiss}));
+        return found;
+    }
+
+    void
+    emitFill(const RegionPlan &plan, RegId packed) override
+    {
+        emit({.op = Op::Update, .src1 = packed,
+              .size = static_cast<std::uint8_t>(plan.info.outputBytes),
+              .lut = plan.spec.lut});
+    }
+
+    void
+    emitInvalidate(LutId lut) override
+    {
+        emit({.op = Op::Invalidate, .lut = lut});
+    }
+
+  private:
+    /** Inputs still needing an explicit reg_crc, per region. */
+    std::vector<std::vector<RegId>> regCrcInputs_;
 };
-
-unsigned
-truncFor(const RegionMemoSpec &spec, RegId reg)
-{
-    const auto it = spec.truncOverride.find(reg);
-    return it != spec.truncOverride.end() ? it->second : spec.truncBits;
-}
-
-unsigned
-sizeFor(const RegionMemoSpec &spec, RegId reg)
-{
-    if (isFloatReg(reg))
-        return 4;
-    const auto it = spec.sizeOverride.find(reg);
-    return it != spec.sizeOverride.end() ? it->second
-                                         : spec.intInputBytes;
-}
 
 } // namespace
 
 TransformResult
 MemoTransform::apply(const Program &prog, const MemoSpec &spec)
 {
-    const Liveness liveness(prog);
-
-    // ---- plan every region ----
-    std::vector<RegionPlan> plans;
-    std::set<InstIndex> claimedLoads; // a load streams to one LUT at most
-    for (const RegionMemoSpec &rs : spec.regions) {
-        const auto it = prog.regions().find(rs.regionId);
-        if (it == prog.regions().end())
-            axm_fatal(prog.name(), ": no hinted region ", rs.regionId);
-        RegionPlan plan;
-        plan.spec = rs;
-        plan.range = it->second;
-        if (plan.range.length() == 0)
-            axm_fatal(prog.name(), ": region ", rs.regionId, " is empty");
-        plan.iface = analyzeRange(prog, liveness, plan.range);
-
-        if (plan.iface.hasStores)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " has stores; ineligible for memoization");
-        if (plan.iface.escapes)
-            axm_fatal(prog.name(), ": region ", rs.regionId,
-                      " has branches escaping the region");
-        if (plan.iface.outputs.empty() || plan.iface.outputs.size() > 2)
-            axm_fatal(prog.name(), ": region ", rs.regionId, " has ",
-                      plan.iface.outputs.size(),
-                      " live outputs; AxMemo packs 1-2 into a LUT entry");
-        plan.outputBytes =
-            4 * static_cast<unsigned>(plan.iface.outputs.size());
-
-        // No external branch may enter the region's middle (the prologue
-        // would be bypassed).
-        for (InstIndex i = 0; i < prog.size(); ++i) {
-            const Inst &inst = prog.at(i);
-            if (!inst.isBranch() || plan.range.contains(i))
-                continue;
-            if (inst.imm > plan.range.begin && inst.imm < plan.range.end)
-                axm_fatal(prog.name(), ": branch at ", i,
-                          " enters region ", rs.regionId, " mid-body");
-        }
-
-        // ---- ld_crc fusion ----
-        // For each input, look for the defining load in the straight-line
-        // window just before the region. Eligible when nothing redefines
-        // the register afterwards, no control flow intervenes, and no
-        // branch lands between the load and the region entry.
-        std::vector<char> isBranchTarget(
-            static_cast<std::size_t>(prog.size()) + 1, 0);
-        for (InstIndex i = 0; i < prog.size(); ++i) {
-            if (prog.at(i).isBranch())
-                isBranchTarget[static_cast<std::size_t>(
-                    prog.at(i).imm)] = 1;
-        }
-
-        for (RegId input : plan.iface.inputs) {
-            if (rs.excludeInputs.count(input))
-                continue; // invariant input: not hashed at all
-            std::optional<InstIndex> fuseAt;
-            for (InstIndex j = plan.range.begin - 1; j >= 0; --j) {
-                const Inst &cand = prog.at(j);
-                if (cand.isBranch() || cand.op == Op::Halt)
-                    break; // control flow: stop searching
-                if (isBranchTarget[static_cast<std::size_t>(j + 1)])
-                    break; // something jumps between j and the region
-                const OperandInfo ops = operandsOf(cand);
-                if (ops.dest == input) {
-                    if (cand.op == Op::Ld || cand.op == Op::Ldf)
-                        fuseAt = j;
-                    break; // defined here (load or not), stop
-                }
-                // Window bound: the load block before a region is small.
-                if (plan.range.begin - j > 64)
-                    break;
-            }
-            if (fuseAt && !claimedLoads.count(*fuseAt)) {
-                plan.fusedLoads[*fuseAt] = input;
-                claimedLoads.insert(*fuseAt);
-            } else {
-                plan.regCrcInputs.push_back(input);
-            }
-        }
-        plans.push_back(std::move(plan));
-    }
-
-    // Regions must be disjoint and are processed in program order.
-    std::sort(plans.begin(), plans.end(),
-              [](const RegionPlan &a, const RegionPlan &b) {
-                  return a.range.begin < b.range.begin;
-              });
-    for (std::size_t i = 1; i < plans.size(); ++i) {
-        if (plans[i].range.begin < plans[i - 1].range.end)
-            axm_fatal(prog.name(), ": memoized regions overlap");
-    }
-
-    // ---- fresh registers for the generated code ----
-    // (All generated values are integer: packed payloads, shifted
-    // halves, and the lookup destination; float outputs are written
-    // through BitsF directly into the program's own registers.)
-    unsigned nextInt = prog.numIntRegs();
-    auto freshInt = [&nextInt] { return iregId(nextInt++); };
-
-    // ---- emission ----
+    HardwareRewriter rewriter(prog, spec);
     TransformResult result;
-    Program out(prog.name() + "+axmemo");
-    std::vector<InstIndex> oldToNew(
-        static_cast<std::size_t>(prog.size()) + 1, -1);
-
-    struct BranchFixup
-    {
-        InstIndex newIdx;
-        InstIndex oldTarget;
-        int regionPlan; // -1 if the branch is outside every region
-    };
-    std::vector<BranchFixup> fixups;
-
-    std::size_t planIdx = 0;
-    int activePlan = -1;
-    InstIndex pendingHitBr = -1;  // Br CONT awaiting the region's end
-    InstIndex pendingMissBr = -1; // br_miss awaiting the body start
-
-    for (InstIndex i = 0; i <= prog.size(); ++i) {
-        // Region epilogue: pack outputs + update, patch the hit-path Br.
-        if (activePlan >= 0 &&
-            i == plans[static_cast<std::size_t>(activePlan)].range.end) {
-            RegionPlan &plan = plans[static_cast<std::size_t>(activePlan)];
-            plan.packStart = out.size();
-
-            const auto &outs = plan.iface.outputs;
-            RegId packed;
-            if (outs.size() == 1) {
-                if (isFloatReg(outs[0])) {
-                    packed = freshInt();
-                    out.append({.op = Op::FBits, .dst = packed,
-                                .src1 = outs[0]});
-                } else {
-                    packed = outs[0];
-                }
-            } else {
-                const auto low32 = [&](RegId reg) -> RegId {
-                    if (isFloatReg(reg)) {
-                        const RegId t = freshInt();
-                        out.append({.op = Op::FBits, .dst = t,
-                                    .src1 = reg});
-                        return t;
-                    }
-                    const RegId t = freshInt();
-                    out.append({.op = Op::And, .dst = t, .src1 = reg,
-                                .imm = 0xffffffffll});
-                    return t;
-                };
-                const RegId lo = low32(outs[0]);
-                const RegId hi = low32(outs[1]);
-                const RegId hiShifted = freshInt();
-                out.append({.op = Op::Shl, .dst = hiShifted, .src1 = hi,
-                            .imm = 32});
-                packed = freshInt();
-                out.append({.op = Op::Or, .dst = packed, .src1 = lo,
-                            .src2 = hiShifted});
-            }
-            out.append({.op = Op::Update, .src1 = packed,
-                        .size = static_cast<std::uint8_t>(
-                            plan.outputBytes),
-                        .lut = plan.spec.lut});
-
-            // CONT label: patch the hit path's Br.
-            out.at(pendingHitBr).imm = out.size();
-            pendingHitBr = -1;
-            activePlan = -1;
-        }
-
-        if (i == prog.size()) {
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-            break;
-        }
-
-        const Inst &inst = prog.at(i);
-
-        // Region prologue, before copying the first body instruction.
-        if (planIdx < plans.size() &&
-            i == plans[planIdx].range.begin) {
-            RegionPlan &plan = plans[planIdx];
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-
-            for (RegId input : plan.regCrcInputs) {
-                out.append({.op = Op::RegCrc, .src1 = input,
-                            .size = static_cast<std::uint8_t>(
-                                sizeFor(plan.spec, input)),
-                            .lut = plan.spec.lut,
-                            .truncBits = static_cast<std::uint8_t>(
-                                truncFor(plan.spec, input))});
-            }
-            const RegId lookupReg = freshInt();
-            out.append({.op = Op::Lookup, .dst = lookupReg,
-                        .lut = plan.spec.lut});
-            pendingMissBr =
-                out.append({.op = Op::BrMiss, .imm = 0});
-
-            // Hit path: unpack the LUT data into the output registers.
-            const auto &outs = plan.iface.outputs;
-            if (outs.size() == 1) {
-                if (isFloatReg(outs[0]))
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = lookupReg});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[0],
-                                .src1 = lookupReg});
-            } else {
-                if (isFloatReg(outs[0])) {
-                    out.append({.op = Op::BitsF, .dst = outs[0],
-                                .src1 = lookupReg});
-                } else {
-                    out.append({.op = Op::And, .dst = outs[0],
-                                .src1 = lookupReg,
-                                .imm = 0xffffffffll});
-                }
-                const RegId hi = freshInt();
-                out.append({.op = Op::Shr, .dst = hi, .src1 = lookupReg,
-                            .imm = 32});
-                if (isFloatReg(outs[1]))
-                    out.append({.op = Op::BitsF, .dst = outs[1],
-                                .src1 = hi});
-                else
-                    out.append({.op = Op::Mov, .dst = outs[1],
-                                .src1 = hi});
-            }
-            pendingHitBr = out.append({.op = Op::Br, .imm = 0});
-
-            // MISS label: the original body starts here.
-            out.at(pendingMissBr).imm = out.size();
-            pendingMissBr = -1;
-
-            activePlan = static_cast<int>(planIdx);
-            ++planIdx;
-
-            // Table 2 reporting.
-            RegionTransformInfo info;
-            info.regionId = plan.spec.regionId;
-            info.lut = plan.spec.lut;
-            for (RegId input : plan.iface.inputs) {
-                if (plan.spec.excludeInputs.count(input))
-                    continue;
-                ++info.numInputs;
-                info.inputBytes += sizeFor(plan.spec, input);
-            }
-            info.numOutputs = static_cast<unsigned>(outs.size());
-            info.outputBytes = plan.outputBytes;
-            info.fusedLoads =
-                static_cast<unsigned>(plan.fusedLoads.size());
-            result.regions.push_back(info);
-            // fall through: copy the body instruction at i normally
-        }
-
-        // Markers: drop; handle invalidation points.
-        if (inst.op == Op::RegionBegin || inst.op == Op::RegionEnd) {
-            if (oldToNew[static_cast<std::size_t>(i)] < 0)
-                oldToNew[static_cast<std::size_t>(i)] = out.size();
-            if (inst.op == Op::RegionBegin) {
-                const auto it = spec.invalidateAt.find(
-                    static_cast<int>(inst.imm));
-                if (it != spec.invalidateAt.end()) {
-                    for (LutId lut : it->second)
-                        out.append({.op = Op::Invalidate, .lut = lut});
-                }
-            }
-            continue;
-        }
-
-        // Fused loads become ld_crc (same destination, same access).
-        bool fused = false;
-        for (RegionPlan &plan : plans) {
-            const auto it = plan.fusedLoads.find(i);
-            if (it == plan.fusedLoads.end())
-                continue;
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-            Inst crcLoad = inst;
-            crcLoad.op = Op::LdCrc;
-            crcLoad.lut = plan.spec.lut;
-            crcLoad.truncBits = static_cast<std::uint8_t>(
-                truncFor(plan.spec, it->second));
-            out.append(crcLoad);
-            fused = true;
-            break;
-        }
-        if (fused)
-            continue;
-
-        // Plain copy.
-        if (oldToNew[static_cast<std::size_t>(i)] < 0)
-            oldToNew[static_cast<std::size_t>(i)] = out.size();
-        const InstIndex newIdx = out.append(inst);
-        if (inst.isBranch())
-            fixups.push_back({newIdx, inst.imm, activePlan});
-    }
-
-    // ---- branch retargeting ----
-    for (const BranchFixup &fix : fixups) {
-        InstIndex target;
-        if (fix.regionPlan >= 0 &&
-            fix.oldTarget ==
-                plans[static_cast<std::size_t>(fix.regionPlan)].range.end) {
-            // Early exit inside a region: route through pack+update so the
-            // allocated LUT entry is always filled.
-            target =
-                plans[static_cast<std::size_t>(fix.regionPlan)].packStart;
-        } else {
-            target = oldToNew[static_cast<std::size_t>(fix.oldTarget)];
-        }
-        if (target < 0)
-            axm_panic(prog.name(), ": transform lost branch target ",
-                      fix.oldTarget);
-        out.at(fix.newIdx).imm = target;
-    }
-
-    result.dataBytes = 4;
-    for (const RegionPlan &plan : plans)
-        result.dataBytes = std::max(result.dataBytes, plan.outputBytes);
-
-    out.verify();
-    result.program = std::move(out);
+    result.program = rewriter.rewrite("+axmemo");
+    result.regions = rewriter.rows();
+    for (const RegionTransformInfo &row : result.regions)
+        result.dataBytes = std::max(result.dataBytes, row.outputBytes);
     return result;
 }
 

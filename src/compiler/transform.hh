@@ -2,27 +2,32 @@
  * @file
  * The AxMemo code-generation pass (Section 5, step 4; Fig. 1).
  *
- * Rewrites a program so every specified region becomes the branch structure
- * of Fig. 1:
+ * Every memoization transform rewrites each specified region into the
+ * branch structure of Fig. 1 through one shared region rewriter
+ * (region_rewriter.hh); a transform supplies only the probe, the miss
+ * prologue and the fill. The right-hand column is the hardware pass:
  *
- *     <loads feeding the region become ld_crc>     ; fused, count as loads
- *     reg_crc each remaining input                 ; program order
- *     lookup d, LUT_ID
- *     br_miss MISS
- *     <unpack outputs from d>                      ; hit: skip computation
+ *     <probe>                     ; loads feeding the region become
+ *                                 ; ld_crc (fused, count as loads);
+ *                                 ; reg_crc each remaining input in
+ *                                 ; program order; lookup d, LUT_ID;
+ *                                 ; br_miss MISS
+ *     <unpack outputs from d>     ; hit: skip computation
  *     br CONT
  *   MISS:
+ *     <miss prologue>             ; none (iACT captures its inputs)
  *     <original region body>
- *     <pack outputs>
- *     update p, LUT_ID
+ *   FILL:
+ *     <pack outputs into p>
+ *     <fill>                      ; update p, LUT_ID
  *   CONT:
  *     ...
  *
  * Inputs/outputs come from liveness analysis of the hinted range; inputs
  * stream to the CRC unit in first-read program order. Up to two 32-bit
  * outputs pack into one 8-byte LUT entry (Section 3.3). Early exits inside
- * the region that jump past its end are rerouted through the update block
- * so the allocated LUT entry is always filled.
+ * the region that jump past its end are rerouted through FILL so the
+ * allocated LUT entry is always filled.
  */
 
 #ifndef AXMEMO_COMPILER_TRANSFORM_HH

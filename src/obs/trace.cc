@@ -29,7 +29,7 @@ namespace trace {
 
 namespace detail {
 std::atomic<std::uint32_t> flagWord{0};
-thread_local std::uint64_t tlsCycle = 0;
+constinit thread_local std::uint64_t tlsCycle = 0;
 } // namespace detail
 
 const char *

@@ -66,8 +66,11 @@ const char *flagName(Flag flag);
 namespace detail {
 /** Bitmask of enabled flags; relaxed loads keep the guard one test. */
 extern std::atomic<std::uint32_t> flagWord;
-/** Current simulated cycle of this thread (trace-line prefix). */
-extern thread_local std::uint64_t tlsCycle;
+/** Current simulated cycle of this thread (trace-line prefix).
+ * constinit: with no possible dynamic initializer, accesses touch the
+ * variable directly instead of going through a TLS init wrapper
+ * (which UBSan flagged as a store through a null pointer). */
+extern thread_local constinit std::uint64_t tlsCycle;
 } // namespace detail
 
 #ifdef AXMEMO_NO_TRACE

@@ -3,7 +3,8 @@
  * Compiler tests: the dynamic trace, the DDDG, the candidate-subgraph
  * finder, and — most critically — the AxMemo / software-memoization
  * transforms, including end-to-end functional equivalence between the
- * baseline and rewritten programs.
+ * baseline and rewritten programs and the region checks every
+ * transform shares.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "compiler/atm_transform.hh"
 #include "compiler/dddg.hh"
+#include "compiler/iact_transform.hh"
 #include "compiler/region_finder.hh"
 #include "compiler/software_transform.hh"
 #include "compiler/trace.hh"
@@ -337,6 +339,40 @@ TEST(MemoTransform, TooManyOutputsFatal)
     region.regionId = 1;
     spec.regions.push_back(region);
     EXPECT_THROW(MemoTransform::apply(p, spec), std::runtime_error);
+}
+
+TEST(MemoTransform, EveryTransformRejectsBranchIntoRegionMiddle)
+{
+    // An outside branch into a region's second instruction would skip
+    // the probe, and the fill would then store through whatever entry
+    // address the registers held. All four transforms must refuse.
+    KernelBuilder b("midbody");
+    const IReg x = b.imm(3);
+    const Label inside = b.newLabel();
+    b.brTrue(b.sne(x, 0), inside);
+    b.regionBegin(1);
+    const IReg y = b.add(x, 1);
+    b.bind(inside);
+    const IReg z = b.mul(y, 2);
+    b.regionEnd(1);
+    b.st(b.imm(0x1000), 0, z, 4);
+    const Program p = b.finish();
+    const InstRange range = p.regions().at(1);
+    bool entersMidBody = false;
+    for (const Inst &inst : p.insts())
+        entersMidBody |= inst.op == Op::Bt && inst.imm == range.begin + 1;
+    ASSERT_TRUE(entersMidBody);
+
+    MemoSpec spec;
+    RegionMemoSpec region;
+    region.regionId = 1;
+    spec.regions.push_back(region);
+    SimMemory mem;
+    EXPECT_THROW(MemoTransform::apply(p, spec), std::runtime_error);
+    EXPECT_THROW(SoftwareMemoTransform::apply(p, spec, mem),
+                 std::runtime_error);
+    EXPECT_THROW(AtmTransform::apply(p, spec, mem), std::runtime_error);
+    EXPECT_THROW(IactTransform::apply(p, spec, mem), std::runtime_error);
 }
 
 TEST(MemoTransform, EarlyExitRoutesThroughUpdate)

@@ -3,8 +3,10 @@
  * iACT/HPAC-style similarity-memoization transform tests
  * (compiler/iact_transform.hh): exact-match degeneracy at threshold 0,
  * monotone hit-rate growth with the threshold, pool striping, FIFO
- * eviction under capacity pressure, generation invalidation, and
- * config validation.
+ * eviction under capacity pressure, generation invalidation, config
+ * validation, and the match rule at its edges (signed zeros, NaN, Inf,
+ * denormals, the threshold boundary, integers compared as floats)
+ * against a host reference.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +14,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
+#include "common/rng.hh"
 #include "compiler/iact_transform.hh"
 #include "isa/builder.hh"
 #include "sim/simulator.hh"
@@ -316,6 +320,180 @@ TEST(IactTransform, RejectsInvalidConfig)
     config = {};
     config.threshold = std::numeric_limits<double>::infinity();
     EXPECT_THROW(applyWith(config), AxException);
+}
+
+/**
+ * Whether a one-pool iACT table that stored the tuple for @p stored
+ * hits when probed with @p input: a one-input region runs twice, the
+ * first invocation misses and fills, the second probes.
+ */
+template <typename T>
+bool
+probeHits(T stored, T input, double threshold)
+{
+    constexpr bool isFloat = std::is_same_v<T, float>;
+    SimMemory mem;
+    const Addr in = mem.allocate(16);
+    const Addr out = mem.allocate(16);
+    if constexpr (isFloat) {
+        mem.writeFloat(in, stored);
+        mem.writeFloat(in + 8, input);
+    } else {
+        mem.write64(in, static_cast<std::uint64_t>(stored));
+        mem.write64(in + 8, static_cast<std::uint64_t>(input));
+    }
+
+    KernelBuilder b("edge");
+    const IReg inReg = b.imm(static_cast<std::int64_t>(in));
+    const IReg outReg = b.imm(static_cast<std::int64_t>(out));
+    b.forRange(0, 2, 1, [&](IReg i) {
+        const IReg addr = b.add(inReg, b.shl(i, 3));
+        const IReg oaddr = b.add(outReg, b.shl(i, 3));
+        if constexpr (isFloat) {
+            const FReg x = b.ldf(addr, 0);
+            b.regionBegin(1);
+            const FReg y = b.fadd(x, b.fimm(1.0f));
+            b.regionEnd(1);
+            b.stf(oaddr, 0, y);
+        } else {
+            const IReg x = b.ld(addr, 0, 8);
+            b.regionBegin(1);
+            const IReg y = b.add(x, 1);
+            b.regionEnd(1);
+            b.st(oaddr, 0, y, 8);
+        }
+    });
+    MemoSpec spec;
+    RegionMemoSpec region;
+    region.regionId = 1;
+    spec.regions.push_back(region);
+
+    IactConfig config;
+    config.threshold = threshold;
+    config.pools = 1;
+    const SwTransformResult tr =
+        IactTransform::apply(b.finish(), spec, mem, config);
+    Simulator sim(tr.program, mem, {});
+    sim.run();
+    EXPECT_EQ(sim.intReg(tr.counters[0].lookups), 2u);
+    return sim.intReg(tr.counters[0].hits) == 1;
+}
+
+/** The match rule on the host, in single precision like the emitted
+ * code: Feq at threshold 0, else |in - st| <= |st| * float(threshold),
+ * which is false when either side is NaN. */
+bool
+hostMatches(float stored, float input, double threshold)
+{
+    if (threshold == 0.0)
+        return input == stored;
+    return std::fabs(input - stored) <=
+           std::fabs(stored) * static_cast<float>(threshold);
+}
+
+/** Integers: Seq at threshold 0, else the float rule after int->float
+ * conversion. */
+bool
+hostMatches(std::int64_t stored, std::int64_t input, double threshold)
+{
+    if (threshold == 0.0)
+        return input == stored;
+    return hostMatches(static_cast<float>(stored),
+                       static_cast<float>(input), threshold);
+}
+
+TEST(IactTransform, MatchRuleEdgesAgreeWithHostReference)
+{
+    constexpr float inf = std::numeric_limits<float>::infinity();
+    constexpr float nan = std::numeric_limits<float>::quiet_NaN();
+    constexpr float denorm = std::numeric_limits<float>::denorm_min();
+    constexpr float tiny = std::numeric_limits<float>::min() / 2;
+    constexpr std::int64_t big = std::int64_t{1} << 24;
+
+    // The documented edges, pinned outright.
+    EXPECT_TRUE(probeHits(0.0f, -0.0f, 0.0));   // Feq: -0 == +0
+    EXPECT_TRUE(probeHits(-0.0f, 0.0f, 0.01));  // zero difference
+    EXPECT_FALSE(probeHits(0.0f, denorm, 0.5)); // stored 0: no slack
+    EXPECT_FALSE(probeHits(nan, nan, 0.0));
+    EXPECT_FALSE(probeHits(nan, nan, 0.01));
+    EXPECT_FALSE(probeHits(1.0f, nan, 0.01));
+    EXPECT_TRUE(probeHits(inf, inf, 0.0));
+    EXPECT_FALSE(probeHits(inf, inf, 0.01));    // Inf - Inf is NaN
+    EXPECT_TRUE(probeHits(inf, 1.0f, 0.01));    // infinite tolerance
+    EXPECT_FALSE(probeHits(1.0f, inf, 0.01));
+    EXPECT_FALSE(probeHits(denorm, 2 * denorm, 0.5)); // tolerance -> 0
+    EXPECT_TRUE(probeHits(big, big + 1, 0.01)); // same float
+    EXPECT_FALSE(probeHits(big, big + 1, 0.0)); // Seq on the integers
+
+    // Every edge, at several thresholds, against the host rule.
+    const float stored = 100.0f;
+    const float edge = stored + stored * 0.01f;
+    const std::vector<std::pair<float, float>> floats = {
+        {0.0f, 0.0f},       {0.0f, -0.0f},
+        {-0.0f, denorm},    {0.0f, 1e-30f},
+        {nan, nan},         {nan, 1.0f},
+        {1.0f, nan},        {inf, inf},
+        {-inf, -inf},       {inf, -inf},
+        {inf, 1e38f},       {-inf, 0.0f},
+        {1.0f, inf},        {denorm, denorm},
+        {denorm, 2 * denorm}, {tiny, tiny * 1.005f},
+        {stored, edge},     {stored, std::nextafter(edge, inf)},
+        {stored, std::nextafter(edge, 0.0f)},
+        {-stored, -edge},   {-stored, -std::nextafter(edge, inf)}};
+    const std::vector<std::pair<std::int64_t, std::int64_t>> ints = {
+        {big, big + 1}, {big + 1, big}, {0, 0},     {-5, 5},
+        {1000, 1010},   {1000, 1011},   {-1000, -990}, {7, 7}};
+    for (const double threshold : {0.0, 0.001, 0.01, 0.5, 1.0}) {
+        for (const auto &[st, in] : floats)
+            EXPECT_EQ(probeHits(st, in, threshold),
+                      hostMatches(st, in, threshold))
+                << "stored " << st << " input " << in << " threshold "
+                << threshold;
+        for (const auto &[st, in] : ints)
+            EXPECT_EQ(probeHits(st, in, threshold),
+                      hostMatches(st, in, threshold))
+                << "stored " << st << " input " << in << " threshold "
+                << threshold;
+    }
+}
+
+TEST(IactTransform, MatchRuleAgreesWithHostOnRandomTriples)
+{
+    Rng rng(0x1ac7);
+    const double thresholds[] = {0.0, 0.001, 0.01, 0.1, 0.5};
+    unsigned hits = 0;
+    unsigned misses = 0;
+    for (unsigned k = 0; k < 300; ++k) {
+        const double threshold = thresholds[rng.below(5)];
+        // Inputs straddle the tolerance band: 0 to 2x the threshold
+        // (or 1e-3 at threshold 0) away from the stored value.
+        const double spread = threshold > 0 ? 2 * threshold : 1e-3;
+        const float stored = static_cast<float>(
+            rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-3, 6)));
+        const float input = rng.below(4) == 0
+                                ? stored
+                                : static_cast<float>(
+                                      stored *
+                                      (1 + rng.uniform(-spread, spread)));
+        const bool expected = hostMatches(stored, input, threshold);
+        EXPECT_EQ(probeHits(stored, input, threshold), expected)
+            << "stored " << stored << " input " << input
+            << " threshold " << threshold;
+        ++(expected ? hits : misses);
+
+        const auto istored = static_cast<std::int64_t>(
+            rng.uniform(-1e8, 1e8));
+        const auto iinput = static_cast<std::int64_t>(
+            static_cast<double>(istored) *
+            (1 + rng.uniform(-spread, spread)));
+        EXPECT_EQ(probeHits(istored, iinput, threshold),
+                  hostMatches(istored, iinput, threshold))
+            << "stored " << istored << " input " << iinput
+            << " threshold " << threshold;
+    }
+    // The triples exercise both sides of the rule.
+    EXPECT_GT(hits, 50u);
+    EXPECT_GT(misses, 50u);
 }
 
 } // namespace

@@ -2,16 +2,20 @@
  * @file
  * Property-based testing of the code-generation transforms: randomized
  * straight-line float kernels with varying input/output arity are
- * generated, wrapped in a per-item loop, and run three ways — baseline,
- * hardware-memoized (trunc 0), and software-memoized. All three must
- * produce bit-identical outputs (trunc-0 memoization is exact absent
- * hash collisions, which do not occur at these scales), and the
- * memoized runs must exercise real hits.
+ * generated, wrapped in a per-item loop, and run four ways — baseline,
+ * hardware-memoized (trunc 0), software-memoized, and iACT at threshold
+ * 0. Every memoized run must produce outputs bit-identical to the
+ * baseline's (trunc-0 memoization is exact absent hash collisions,
+ * which do not occur at these scales, and a zero threshold makes iACT
+ * an exact match), and the hardware and iACT runs must exercise real
+ * hits. ThreeWayEquivalence covers the first three, IactExactEquivalence
+ * the fourth.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "compiler/iact_transform.hh"
 #include "compiler/software_transform.hh"
 #include "compiler/transform.hh"
 #include "isa/builder.hh"
@@ -139,17 +143,21 @@ class TransformFuzzTest : public ::testing::TestWithParam<FuzzCase>
 {
 };
 
+/** The unmemoized kernel's outputs. */
+std::vector<float>
+baselineOutputs(const FuzzCase &fc)
+{
+    FuzzKernel base(fc);
+    const Program p = base.build();
+    Simulator sim(p, base.memory(), {});
+    sim.run();
+    return base.outputs();
+}
+
 TEST_P(TransformFuzzTest, ThreeWayEquivalence)
 {
     const FuzzCase &fc = GetParam();
-
-    // Baseline.
-    FuzzKernel base(fc);
-    {
-        const Program p = base.build();
-        Simulator sim(p, base.memory(), {});
-        sim.run();
-    }
+    const std::vector<float> base = baselineOutputs(fc);
 
     // Hardware memoization, trunc 0.
     FuzzKernel hw(fc);
@@ -179,8 +187,24 @@ TEST_P(TransformFuzzTest, ThreeWayEquivalence)
                   FuzzKernel::kItems);
     }
 
-    EXPECT_EQ(base.outputs(), hw.outputs()) << "hw diverged";
-    EXPECT_EQ(base.outputs(), sw.outputs()) << "sw diverged";
+    EXPECT_EQ(base, hw.outputs()) << "hw diverged";
+    EXPECT_EQ(base, sw.outputs()) << "sw diverged";
+}
+
+TEST_P(TransformFuzzTest, IactExactEquivalence)
+{
+    const FuzzCase &fc = GetParam();
+    FuzzKernel iact(fc);
+    IactConfig config;
+    config.threshold = 0.0;
+    const SwTransformResult tr = IactTransform::apply(
+        iact.build(), iact.spec(), iact.memory(), config);
+    Simulator sim(tr.program, iact.memory(), {});
+    sim.run();
+    ASSERT_EQ(tr.counters.size(), 1u);
+    EXPECT_EQ(sim.intReg(tr.counters[0].lookups), FuzzKernel::kItems);
+    EXPECT_GT(sim.intReg(tr.counters[0].hits), 0u);
+    EXPECT_EQ(baselineOutputs(fc), iact.outputs()) << "iact diverged";
 }
 
 std::vector<FuzzCase>
