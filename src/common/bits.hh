@@ -1,17 +1,32 @@
 /**
  * @file
- * Bit-manipulation helpers: field extraction, masks, and the LSB-truncation
- * operator used by AxMemo's input approximation (Section 3.1).
+ * Bit-manipulation helpers: field extraction, masks, the LSB-truncation
+ * operator used by AxMemo's input approximation (Section 3.1), and the
+ * FNV-1a byte hash.
  */
 
 #ifndef AXMEMO_COMMON_BITS_HH
 #define AXMEMO_COMMON_BITS_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
 namespace axmemo {
+
+/** FNV-1a-64 over the @p n bytes at @p data. */
+inline std::uint64_t
+fnv1a64(const void *data, std::size_t n)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i < n; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
 
 /** @return a mask with the low @p n bits set (n in [0, 64]). */
 constexpr std::uint64_t

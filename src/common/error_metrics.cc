@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -57,10 +58,10 @@ elementwiseRelativeErrorCdf(const std::vector<double> &exact,
     if (exact.size() != approx.size())
         axm_panic("quality metric: size mismatch ", exact.size(), " vs ",
                   approx.size());
-    EmpiricalCdf cdf;
+    std::vector<double> errors(exact.size());
     for (std::size_t i = 0; i < exact.size(); ++i)
-        cdf.add(relativeError(exact[i], approx[i], eps));
-    return cdf;
+        errors[i] = relativeError(exact[i], approx[i], eps);
+    return EmpiricalCdf(std::move(errors));
 }
 
 } // namespace axmemo

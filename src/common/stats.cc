@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -81,36 +82,80 @@ arithmeticMean(const std::vector<double> &values)
     return sum / static_cast<double>(values.size());
 }
 
-void
-EmpiricalCdf::ensureSorted() const
+EmpiricalCdf::EmpiricalCdf(std::vector<double> samples)
 {
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
+    std::sort(samples.begin(), samples.end());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (values_.empty() || samples[i] != values_.back()) {
+            values_.push_back(samples[i]);
+            ends_.push_back(i + 1);
+        } else {
+            ends_.back() = i + 1;
+        }
     }
+}
+
+Expected<EmpiricalCdf>
+EmpiricalCdf::fromRuns(const std::vector<Run> &runs)
+{
+    EmpiricalCdf cdf;
+    cdf.values_.reserve(runs.size());
+    cdf.ends_.reserve(runs.size());
+    std::uint64_t total = 0;
+    for (const Run &run : runs) {
+        if (std::isnan(run.value) ||
+            (!cdf.values_.empty() && !(cdf.values_.back() < run.value)))
+            return Error{ErrorCode::Parse, "cdf",
+                         "run values must ascend strictly"};
+        if (run.count == 0)
+            return Error{ErrorCode::Parse, "cdf", "run with zero count"};
+        if (run.count > std::numeric_limits<std::uint64_t>::max() - total)
+            return Error{ErrorCode::Parse, "cdf",
+                         "sample count overflows 64 bits"};
+        total += run.count;
+        cdf.values_.push_back(run.value);
+        cdf.ends_.push_back(total);
+    }
+    return cdf;
+}
+
+std::vector<EmpiricalCdf::Run>
+EmpiricalCdf::runs() const
+{
+    std::vector<Run> out(values_.size());
+    for (std::size_t i = 0; i < values_.size(); ++i)
+        out[i] = {values_[i], ends_[i] - (i ? ends_[i - 1] : 0)};
+    return out;
 }
 
 double
 EmpiricalCdf::fractionAtOrBelow(double x) const
 {
-    if (samples_.empty())
+    if (values_.empty())
         return 0.0;
-    ensureSorted();
-    const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-    return static_cast<double>(it - samples_.begin()) /
-           static_cast<double>(samples_.size());
+    const std::size_t runsAtOrBelow =
+        std::upper_bound(values_.begin(), values_.end(), x) -
+        values_.begin();
+    return static_cast<double>(runsAtOrBelow ? ends_[runsAtOrBelow - 1]
+                                             : 0) /
+           static_cast<double>(size());
 }
 
 double
 EmpiricalCdf::quantile(double q) const
 {
-    if (samples_.empty())
+    if (values_.empty())
         return 0.0;
-    ensureSorted();
     q = std::clamp(q, 0.0, 1.0);
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples_.size() - 1) + 0.5);
-    return samples_[idx];
+    // The sample index a sorted array would read, capped at the last
+    // one so that a total near 2^64 cannot overflow the conversion.
+    const std::uint64_t last = size() - 1;
+    const double pos = q * static_cast<double>(last) + 0.5;
+    const std::uint64_t index = pos < static_cast<double>(last)
+                                    ? static_cast<std::uint64_t>(pos)
+                                    : last;
+    return values_[std::upper_bound(ends_.begin(), ends_.end(), index) -
+                   ends_.begin()];
 }
 
 std::vector<double>

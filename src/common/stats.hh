@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics containers used by the simulator and benches:
- * running scalar statistics, named counters, and an empirical CDF builder.
+ * running scalar statistics, named counters, and an empirical CDF.
  */
 
 #ifndef AXMEMO_COMMON_STATS_HH
@@ -11,6 +11,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "common/expected.hh"
 
 namespace axmemo {
 
@@ -59,18 +61,46 @@ double geometricMean(const std::vector<double> &values);
 double arithmeticMean(const std::vector<double> &values);
 
 /**
- * Empirical cumulative distribution function over collected samples.
+ * Empirical cumulative distribution function, stored exactly as sorted
+ * value/count runs.
  *
- * Used to regenerate the element-wise relative-error CDFs of Fig. 10b.
+ * Used for the element-wise relative-error CDFs of Fig. 10b. One run is
+ * a distinct sample value and the number of samples that had it, so
+ * the CDF costs memory per distinct value, not per sample (fig7's
+ * records hold ~29k distinct values among ~700k samples). Every query
+ * returns the double a sorted array of the raw samples would give:
+ * quantile(q) reads sample index q*(n-1)+0.5 (truncated), and
+ * fractionAtOrBelow(x) counts the samples <= x over n.
  */
 class EmpiricalCdf
 {
   public:
-    /** Record one sample. */
-    void add(double x) { samples_.push_back(x); }
+    /** One distinct sample value and how many samples had it. */
+    struct Run
+    {
+        double value = 0.0;
+        std::uint64_t count = 0;
+    };
+
+    /** The empty distribution. */
+    EmpiricalCdf() = default;
+
+    /** The distribution of @p samples (none may be NaN). */
+    explicit EmpiricalCdf(std::vector<double> samples);
+
+    /**
+     * Adopt stored runs (the journal codec). A Parse error unless the
+     * values ascend strictly (no NaN) and every count is positive with
+     * a total that fits in 64 bits: runs that break these would report
+     * fractions outside [0, 1].
+     */
+    static Expected<EmpiricalCdf> fromRuns(const std::vector<Run> &runs);
 
     /** Number of samples. */
-    std::size_t size() const { return samples_.size(); }
+    std::uint64_t size() const { return ends_.empty() ? 0 : ends_.back(); }
+
+    /** The runs in ascending value order. */
+    std::vector<Run> runs() const;
 
     /** Fraction of samples <= @p x. */
     double fractionAtOrBelow(double x) const;
@@ -84,15 +114,11 @@ class EmpiricalCdf
      */
     std::vector<double> evaluate(const std::vector<double> &points) const;
 
-    /** Raw samples (journal serialization); order is unspecified once
-     * any query has sorted them, which does not affect the CDF. */
-    const std::vector<double> &samples() const { return samples_; }
-
   private:
-    void ensureSorted() const;
-
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = false;
+    /** Distinct sample values, strictly ascending. */
+    std::vector<double> values_;
+    /** ends_[i]: number of samples <= values_[i]. */
+    std::vector<std::uint64_t> ends_;
 };
 
 /** String-keyed event counters, mergeable; backs the energy model. */

@@ -1,8 +1,8 @@
 #include "core/experiment.hh"
 
 #include <cmath>
-#include <utility>
 
+#include "common/bits.hh"
 #include "common/error_metrics.hh"
 #include "common/log.hh"
 #include "common/run_control.hh"
@@ -14,6 +14,12 @@ namespace axmemo {
 ExperimentRunner::ExperimentRunner(const ExperimentConfig &config)
     : config_(config)
 {
+}
+
+std::uint64_t
+digestOutputs(const std::vector<double> &outputs)
+{
+    return fnv1a64(outputs.data(), outputs.size() * sizeof(double));
 }
 
 RunResult
@@ -70,6 +76,7 @@ RunSession::finish()
     result.backend = backend_;
     session_->finish(result);
     result.outputs = workload_.readOutputs(mem_);
+    result.outputsDigest = digestOutputs(result.outputs);
     return result;
 }
 
@@ -95,46 +102,60 @@ ExperimentRunner::compare(Workload &workload,
                  run(workload, backend));
 }
 
-Comparison
-ExperimentRunner::score(const Workload &workload, RunResult baseline,
-                        RunResult subject)
-{
-    Comparison cmp;
-    cmp.baseline = std::move(baseline);
-    cmp.subject = std::move(subject);
+namespace {
 
-    if (cmp.subject.stats.cycles == 0 ||
-        cmp.baseline.stats.cycles == 0)
+/** @p run without its output vector (the digest stays). */
+RunResult
+withoutOutputs(const RunResult &run)
+{
+    RunResult copy;
+    copy.backend = run.backend;
+    copy.stats = run.stats;
+    copy.energy = run.energy;
+    copy.lookups = run.lookups;
+    copy.hits = run.hits;
+    copy.outputsDigest = run.outputsDigest;
+    copy.regions = run.regions;
+    return copy;
+}
+
+} // namespace
+
+Comparison
+ExperimentRunner::score(const Workload &workload,
+                        const RunResult &baseline,
+                        const RunResult &subject)
+{
+    if (subject.stats.cycles == 0 || baseline.stats.cycles == 0)
         axm_panic("zero-cycle run for ", workload.name());
 
-    cmp.speedup = static_cast<double>(cmp.baseline.stats.cycles) /
-                  static_cast<double>(cmp.subject.stats.cycles);
-    cmp.energyReduction =
-        cmp.baseline.energyPj() / cmp.subject.energyPj();
-    cmp.normalizedUops =
-        static_cast<double>(cmp.subject.stats.uops) /
-        static_cast<double>(cmp.baseline.stats.uops);
-    cmp.memoUopShare =
-        static_cast<double>(cmp.subject.stats.memoUops) /
-        static_cast<double>(cmp.baseline.stats.uops);
+    Comparison cmp;
+    cmp.baseline = withoutOutputs(baseline);
+    cmp.subject = withoutOutputs(subject);
+    cmp.speedup = static_cast<double>(baseline.stats.cycles) /
+                  static_cast<double>(subject.stats.cycles);
+    cmp.energyReduction = baseline.energyPj() / subject.energyPj();
+    cmp.normalizedUops = static_cast<double>(subject.stats.uops) /
+                         static_cast<double>(baseline.stats.uops);
+    cmp.memoUopShare = static_cast<double>(subject.stats.memoUops) /
+                       static_cast<double>(baseline.stats.uops);
 
     if (workload.qualityMetric() == QualityMetric::Misclassification) {
-        cmp.qualityLoss = misclassificationRate(cmp.baseline.outputs,
-                                                cmp.subject.outputs);
+        cmp.qualityLoss =
+            misclassificationRate(baseline.outputs, subject.outputs);
     } else {
-        cmp.qualityLoss = normalizedSquaredError(cmp.baseline.outputs,
-                                                 cmp.subject.outputs);
+        cmp.qualityLoss =
+            normalizedSquaredError(baseline.outputs, subject.outputs);
     }
     // Element-wise relative error with a full-scale floor: deviations on
     // near-zero elements are judged against 1% of the output range
     // (the PSNR-style convention for image-like data), not against the
     // element itself.
     double maxAbs = 0.0;
-    for (double v : cmp.baseline.outputs)
+    for (double v : baseline.outputs)
         maxAbs = std::max(maxAbs, std::abs(v));
     cmp.errorCdf = elementwiseRelativeErrorCdf(
-        cmp.baseline.outputs, cmp.subject.outputs,
-        std::max(1e-6, 0.01 * maxAbs));
+        baseline.outputs, subject.outputs, std::max(1e-6, 0.01 * maxAbs));
     return cmp;
 }
 

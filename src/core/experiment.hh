@@ -77,8 +77,12 @@ struct RunResult
     /** Total LUT lookups and hits (hardware or software counters). */
     std::uint64_t lookups = 0;
     std::uint64_t hits = 0;
-    /** Program outputs, for quality scoring. */
+    /** Program outputs, for quality scoring. Empty once a run has been
+     * through the checkpoint journal or into a Comparison; the digest
+     * stays. */
     std::vector<double> outputs;
+    /** digestOutputs() of the outputs, set once by RunSession::finish(). */
+    std::uint64_t outputsDigest = 0;
     /** What the transform reported (empty for Baseline). */
     std::vector<RegionTransformInfo> regions;
 
@@ -92,7 +96,12 @@ struct RunResult
     double energyPj() const { return energy.totalPj(); }
 };
 
-/** A subject run scored against its paired baseline. */
+/** FNV-1a-64 over the bytes of @p outputs (RunResult::outputsDigest). */
+std::uint64_t digestOutputs(const std::vector<double> &outputs);
+
+/** A subject run scored against its paired baseline. Both runs are
+ * kept without their outputs: everything that reads outputs happens
+ * in ExperimentRunner::score(). */
 struct Comparison
 {
     RunResult baseline;
@@ -190,12 +199,13 @@ class ExperimentRunner
     /**
      * Score an already-run pair (reuse one baseline across many subject
      * configurations; the baseline must come from the same dataset
-     * parameters). Both results are taken by value and moved into the
-     * returned Comparison — std::move() arguments whose last use this
-     * is, to avoid copying the output vectors.
+     * parameters). The quality metrics read both output vectors here;
+     * the returned Comparison copies everything else of the two runs,
+     * but not their outputs.
      */
-    static Comparison score(const Workload &workload, RunResult baseline,
-                            RunResult subject);
+    static Comparison score(const Workload &workload,
+                            const RunResult &baseline,
+                            const RunResult &subject);
 
   private:
     ExperimentConfig config_;

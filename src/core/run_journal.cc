@@ -17,12 +17,10 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Encoding. Compact JSON; numbers go through std::to_chars — doubles in
-// shortest-round-trip form (strtod parses them back bit-exactly, like
-// the %.17g this replaces, but several times faster to produce and with
-// no locale or allocation) — repeated fixed-shape records as arrays to
-// keep lines short. A journal line can carry tens of thousands of
-// numbers (outputs + error CDF), so the encoder appends in place; it is
-// a measurable slice of sweep wall time (perfbench's core.journal_s).
+// shortest-round-trip form, which strtod parses back bit-exactly, with
+// no locale or allocation — and repeated fixed-shape records as arrays
+// to keep lines short. The encoder appends in place: it runs once per
+// completed job (perfbench's core.journal_s).
 // ---------------------------------------------------------------------
 
 void
@@ -40,16 +38,6 @@ appendInt(std::string &out, Int value)
     char buf[24];
     const auto r = std::to_chars(buf, buf + sizeof(buf), value);
     out.append(buf, r.ptr);
-}
-
-/** Transitional shim for the cold paths below that still build by
- * concatenation (header-ish fields, not the per-sample arrays). */
-std::string
-fd(double value)
-{
-    std::string out;
-    appendDouble(out, value);
-    return out;
 }
 
 void
@@ -195,8 +183,10 @@ appendSimStats(std::string &out, const SimStats &s)
     out += "}}";
 }
 
+/** @p r as a JSON object; the outputs only @p withOutputs (the
+ * --isolate pipe), never in a journal record. */
 void
-appendRunResult(std::string &out, const RunResult &r)
+appendRunResult(std::string &out, const RunResult &r, bool withOutputs)
 {
     out += "{\"mode\":";
     appendEscaped(out, r.backend);
@@ -216,14 +206,18 @@ appendRunResult(std::string &out, const RunResult &r)
     appendDouble(out, r.energy.memoPj);
     out += ',';
     appendDouble(out, r.energy.leakagePj);
-    out += ']';
-    out += ",\"outputs\":[";
-    for (std::size_t i = 0; i < r.outputs.size(); ++i) {
-        if (i)
-            out += ',';
-        appendDouble(out, r.outputs[i]);
+    out += "],\"digest\":";
+    appendInt(out, r.outputsDigest);
+    if (withOutputs) {
+        out += ",\"outputs\":[";
+        for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+            if (i)
+                out += ',';
+            appendDouble(out, r.outputs[i]);
+        }
+        out += ']';
     }
-    out += "],\"regions\":[";
+    out += ",\"regions\":[";
     for (std::size_t i = 0; i < r.regions.size(); ++i) {
         const RegionTransformInfo &g = r.regions[i];
         if (i)
@@ -247,13 +241,13 @@ appendRunResult(std::string &out, const RunResult &r)
     out += "]}";
 }
 
+/** The scored half of a record. The subject is the record's own run,
+ * so only the baseline is written. */
 void
 appendComparison(std::string &out, const Comparison &c)
 {
     out += "{\"baseline\":";
-    appendRunResult(out, c.baseline);
-    out += ",\"subject\":";
-    appendRunResult(out, c.subject);
+    appendRunResult(out, c.baseline, /*withOutputs=*/false);
     out += ",\"speedup\":";
     appendDouble(out, c.speedup);
     out += ",\"energyReduction\":";
@@ -261,11 +255,15 @@ appendComparison(std::string &out, const Comparison &c)
     out += ",\"qualityLoss\":";
     appendDouble(out, c.qualityLoss);
     out += ",\"cdf\":[";
-    const std::vector<double> &samples = c.errorCdf.samples();
-    for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::vector<EmpiricalCdf::Run> runs = c.errorCdf.runs();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
         if (i)
             out += ',';
-        appendDouble(out, samples[i]);
+        out += '[';
+        appendDouble(out, runs[i].value);
+        out += ',';
+        appendInt(out, runs[i].count);
+        out += ']';
     }
     out += "],\"normalizedUops\":";
     appendDouble(out, c.normalizedUops);
@@ -428,11 +426,9 @@ decodeSimStats(const JValue &v, SimStats &s)
 }
 
 void
-decodeRunResult(const JValue &v, RunResult &r)
+decodeRunResult(const JValue &v, RunResult &r, bool withOutputs)
 {
-    // Since journal version 2 the mode field holds the backend NAME;
-    // version-1 lines carried a numeric mode ordinal and fail here, which the
-    // tolerant load() turns into a re-simulation rather than an abort.
+    // The mode field holds the backend's registered name.
     Expected<std::string> backend =
         jsonString(member(v, "mode"), "mode");
     if (!backend.ok())
@@ -451,15 +447,21 @@ decodeRunResult(const JValue &v, RunResult &r)
     r.energy.dramPj = asDouble(element(e, 2, "energy"), "energy");
     r.energy.memoPj = asDouble(element(e, 3, "energy"), "energy");
     r.energy.leakagePj = asDouble(element(e, 4, "energy"), "energy");
+    r.outputsDigest = asU64(member(v, "digest"), "digest");
 
-    const JValue &outputs = member(v, "outputs");
-    if (outputs.kind != JValue::Kind::Array)
-        raiseError(ErrorCode::Parse, "journal",
-                   "field 'outputs' must be an array");
     r.outputs.clear();
-    r.outputs.reserve(outputs.elements.size());
-    for (const JValue &o : outputs.elements)
-        r.outputs.push_back(asDouble(o, "outputs"));
+    if (withOutputs) {
+        const JValue &outputs = member(v, "outputs");
+        if (outputs.kind != JValue::Kind::Array)
+            raiseError(ErrorCode::Parse, "journal",
+                       "field 'outputs' must be an array");
+        r.outputs.reserve(outputs.elements.size());
+        for (const JValue &o : outputs.elements)
+            r.outputs.push_back(asDouble(o, "outputs"));
+        if (digestOutputs(r.outputs) != r.outputsDigest)
+            raiseError(ErrorCode::Parse, "journal",
+                       "outputs do not match their digest");
+    }
 
     const JValue &regions = member(v, "regions");
     if (regions.kind != JValue::Kind::Array)
@@ -487,11 +489,13 @@ decodeRunResult(const JValue &v, RunResult &r)
     }
 }
 
+/** Decode the scored half of a record; @p subject is the record's run. */
 void
-decodeComparison(const JValue &v, Comparison &c)
+decodeComparison(const JValue &v, const RunResult &subject, Comparison &c)
 {
-    decodeRunResult(member(v, "baseline"), c.baseline);
-    decodeRunResult(member(v, "subject"), c.subject);
+    decodeRunResult(member(v, "baseline"), c.baseline,
+                    /*withOutputs=*/false);
+    c.subject = subject;
     c.speedup = asDouble(member(v, "speedup"), "speedup");
     c.energyReduction =
         asDouble(member(v, "energyReduction"), "energyReduction");
@@ -500,9 +504,15 @@ decodeComparison(const JValue &v, Comparison &c)
     if (cdf.kind != JValue::Kind::Array)
         raiseError(ErrorCode::Parse, "journal",
                    "field 'cdf' must be an array");
-    c.errorCdf = EmpiricalCdf{};
-    for (const JValue &sample : cdf.elements)
-        c.errorCdf.add(asDouble(sample, "cdf"));
+    std::vector<EmpiricalCdf::Run> runs;
+    runs.reserve(cdf.elements.size());
+    for (const JValue &run : cdf.elements)
+        runs.push_back({asDouble(element(run, 0, "cdf"), "cdf"),
+                        asU64(element(run, 1, "cdf"), "cdf")});
+    Expected<EmpiricalCdf> errorCdf = EmpiricalCdf::fromRuns(runs);
+    if (!errorCdf.ok())
+        throw AxException(errorCdf.error());
+    c.errorCdf = std::move(errorCdf).value();
     c.normalizedUops =
         asDouble(member(v, "normalizedUops"), "normalizedUops");
     c.memoUopShare =
@@ -542,10 +552,11 @@ SweepJournal::encodeLine(const std::string &key,
     out.reserve(16 * 1024); // typical line size; avoids regrowth churn
     out += "{\"key\":";
     appendEscaped(out, key);
-    out += ",\"seconds\":" + fd(outcome.seconds);
+    out += ",\"seconds\":";
+    appendDouble(out, outcome.seconds);
     out += outcome.scored ? ",\"scored\":true" : ",\"scored\":false";
     out += ",\"run\":";
-    appendRunResult(out, outcome.run);
+    appendRunResult(out, outcome.run, /*withOutputs=*/false);
     if (outcome.scored) {
         out += ",\"cmp\":";
         appendComparison(out, outcome.cmp);
@@ -575,11 +586,36 @@ SweepJournal::decodeLine(const std::string &line)
         if (!scored.ok())
             return scored.error();
         outcome.scored = scored.value();
-        decodeRunResult(member(root, "run"), outcome.run);
+        decodeRunResult(member(root, "run"), outcome.run,
+                        /*withOutputs=*/false);
         if (outcome.scored)
-            decodeComparison(member(root, "cmp"), outcome.cmp);
+            decodeComparison(member(root, "cmp"), outcome.run,
+                             outcome.cmp);
         outcome.restored = true;
         return record;
+    } catch (const AxException &e) {
+        return e.error();
+    }
+}
+
+std::string
+SweepJournal::encodeRunLine(const RunResult &run)
+{
+    std::string out;
+    appendRunResult(out, run, /*withOutputs=*/true);
+    return out;
+}
+
+Expected<RunResult>
+SweepJournal::decodeRunLine(const std::string &line)
+{
+    Expected<JValue> parsed = parseJsonValue(line);
+    if (!parsed.ok())
+        return parsed.error();
+    try {
+        RunResult run;
+        decodeRunResult(parsed.value(), run, /*withOutputs=*/true);
+        return run;
     } catch (const AxException &e) {
         return e.error();
     }
@@ -602,13 +638,13 @@ SweepJournal::probe(const std::string &path)
     if (!parsed.ok() || parsed.value().kind != JValue::Kind::Object)
         return Error{ErrorCode::Parse, "journal",
                      "'" + path + "' has a garbled header line"};
-    const JValue *version = parsed.value().find("axmemo_sweep_journal");
-    if (!version)
+    const JValue *field = parsed.value().find("axmemo_sweep_journal");
+    if (!field)
         return Error{ErrorCode::Parse, "journal",
                      "'" + path + "' is not a sweep journal"};
     const Expected<std::uint64_t> v =
-        jsonU64(*version, "axmemo_sweep_journal");
-    if (!v.ok() || v.value() < 2 || v.value() > 2)
+        jsonU64(*field, "axmemo_sweep_journal");
+    if (!v.ok() || v.value() != static_cast<std::uint64_t>(version))
         return Error{ErrorCode::Parse, "journal",
                      "'" + path + "' has unsupported journal version"};
     HeaderInfo info;
@@ -678,7 +714,7 @@ SweepJournal::open(const std::string &path, bool fresh)
     if (!fresh)
         std::fseek(file_, 0, SEEK_END);
     if (fresh || std::ftell(file_) == 0) {
-        std::fputs("{\"axmemo_sweep_journal\":2}\n", file_);
+        std::fprintf(file_, "{\"axmemo_sweep_journal\":%d}\n", version);
         std::fflush(file_);
     }
     return {};

@@ -17,11 +17,21 @@
  * invalidates exactly the affected jobs — they re-simulate, the rest
  * replay.
  *
- * Fidelity. The record stores the complete SweepOutcome — SimStats with
- * every distribution bucket, energy breakdown, outputs, regions, and
- * the scored Comparison — with doubles in %.17g, so a resumed run's
- * reports are byte-identical to an uninterrupted run's (host timing
- * excluded; see RuntimeOptions::reportTiming).
+ * Fidelity. A record keeps what the reduce step reads, not the job's
+ * output vector: the run's SimStats with every distribution bucket,
+ * energy breakdown, regions and an FNV-1a-64 digest of its outputs;
+ * for a scored job also the baseline's (same fields, its own digest),
+ * the scalar scores and the Fig. 10b error CDF as exact value/count
+ * runs. The comparison's subject is the record's own run. Doubles are
+ * written in shortest round-trip form, so a resumed run's reports are
+ * byte-identical to an uninterrupted run's (host timing excluded; see
+ * RuntimeOptions::reportTiming).
+ *
+ * Versions. The header line names the format version. Records of
+ * versions 1 and 2 do not decode (they carry no output digest), so
+ * their jobs re-simulate, and a resume of a journal whose header is
+ * not the current version starts the file afresh rather than
+ * appending under the old header.
  *
  * Tolerance. load() ignores any line it cannot parse — in particular a
  * torn final line from a mid-write kill. An ignored line only means
@@ -51,6 +61,9 @@ class SweepJournal
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
 
+    /** The format version written in, and required of, the header. */
+    static constexpr int version = 3;
+
     /** Journal path for sweep label @p label inside @p outDir. */
     static std::string pathFor(const std::string &label,
                                const std::string &outDir);
@@ -62,9 +75,18 @@ class SweepJournal
     static std::string encodeLine(const std::string &key,
                                   const SweepOutcome &outcome);
 
-    /** Inverse of encodeLine; Parse errors mean "skip this line". */
+    /** Inverse of encodeLine; Parse errors mean "skip this line". A
+     * decoded run has no outputs, only their digest. */
     static Expected<std::pair<std::string, SweepOutcome>>
     decodeLine(const std::string &line);
+
+    /** The --isolate pipe's line: @p run with its outputs, which the
+     * parent process still has to score. */
+    static std::string encodeRunLine(const RunResult &run);
+
+    /** Inverse of encodeRunLine; a Parse error also when the outputs
+     * do not match their digest. */
+    static Expected<RunResult> decodeRunLine(const std::string &line);
 
     /** What probe() learned about a journal file's header. */
     struct HeaderInfo

@@ -6,6 +6,7 @@
 
 #include <dirent.h>
 
+#include "common/bits.hh"
 #include "common/lease.hh"
 #include "common/log.hh"
 #include "core/json_export.hh"
@@ -80,11 +81,7 @@ ShardQueue::hashKey(const std::string &key)
     // claim slot; the done marker carries the full key, so a collision
     // degrades to "the other job re-simulates at merge", never to a
     // wrong result.
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
+    const std::uint64_t h = fnv1a64(key.data(), key.size());
     char buf[20];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(h));

@@ -169,31 +169,28 @@ maybeInjectFault(const RuntimeOptions &options, const SweepJob &job,
 /**
  * Run @p simulate in a forked child (--isolate): a crash, deadlock or
  * runaway allocation in one job is contained at the process boundary.
- * The child ships its RunResult back as a journal-codec line over a
- * pipe; the parent's poll deadline (SIGKILL on expiry) becomes the
- * watchdog, surfacing as ErrorCode::Timeout. All failures re-throw as
- * AxException so the standard retry/timeout policy applies unchanged.
+ * The child ships its RunResult, outputs included, back over a pipe as
+ * one run line of the journal codec; the parent's poll deadline
+ * (SIGKILL on expiry) becomes the watchdog, surfacing as
+ * ErrorCode::Timeout. All failures re-throw as AxException so the
+ * standard retry/timeout policy applies unchanged.
  */
 RunResult
 simulateIsolated(const std::function<RunResult()> &simulate,
                  const RuntimeOptions &options)
 {
     const Expected<std::string> payload = runInForkedChild(
-        [&] {
-            SweepOutcome child;
-            child.run = simulate();
-            return SweepJournal::encodeLine("isolated", child);
-        },
+        [&] { return SweepJournal::encodeRunLine(simulate()); },
         options.jobTimeoutSeconds);
     if (!payload.ok())
         throw AxException(payload.error());
-    Expected<std::pair<std::string, SweepOutcome>> decoded =
-        SweepJournal::decodeLine(payload.value());
+    Expected<RunResult> decoded =
+        SweepJournal::decodeRunLine(payload.value());
     if (!decoded.ok())
         throw AxException(Error{ErrorCode::Internal, "isolate",
                                 "undecodable child result: " +
                                     decoded.error().describe()});
-    return std::move(decoded.value().second.run);
+    return std::move(decoded).value();
 }
 
 } // namespace
@@ -258,6 +255,20 @@ SweepEngine::setJournal(const std::string &path, bool resume)
         slash == std::string::npos ? path : path.substr(slash + 1);
     std::size_t skipped = 0;
     if (resume) {
+        // Append only under a current-version header: a file another
+        // version wrote (or whose header is garbled) holds no record
+        // this build can replay, and records appended after its header
+        // would make the whole file unreadable to probe() and merge.
+        // It restarts instead. A missing file (Io) is created below.
+        const Expected<SweepJournal::HeaderInfo> header =
+            SweepJournal::probe(path);
+        resume = header.ok() || header.error().code == ErrorCode::Io;
+        if (!resume)
+            AXM_TRACE(Sweep, "sweep", "journal '", base,
+                      "' restarted: not a version-",
+                      SweepJournal::version, " journal");
+    }
+    if (resume) {
         replay_ = SweepJournal::load(path, &skipped);
         if (skipped)
             AXM_TRACE(Sweep, "sweep", "journal '", base, "': ", skipped,
@@ -319,9 +330,9 @@ SweepEngine::execute()
     std::vector<char> handled(jobs_.size(), 0);
 
     // ---- Phase R: replay journaled outcomes (resume). A replayed
-    // scored outcome carries its full baseline result, which also
-    // backfills the simulated-instruction accounting for baselines the
-    // replay makes unnecessary to re-simulate.
+    // scored outcome carries its baseline's stats, which also backfill
+    // the simulated-instruction accounting for baselines the replay
+    // makes unnecessary to re-simulate.
     std::unordered_map<std::string, std::uint64_t> replayedBaseMacro;
     if (!replay_.empty()) {
         AXM_SPAN("sweep", "replay");

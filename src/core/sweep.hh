@@ -85,7 +85,8 @@ const char *jobStatusName(JobStatus status);
 struct SweepOutcome
 {
     /** The subject run (for Baseline jobs, the baseline itself).
-     * Meaningful only when status == Ok. */
+     * Meaningful only when status == Ok. A replayed run has no
+     * outputs, only their digest. */
     RunResult run;
     /** Valid only when scored and status == Ok. */
     Comparison cmp;
@@ -184,7 +185,8 @@ class SweepEngine
     /**
      * Enable checkpoint journaling to @p path. With @p resume, existing
      * records are loaded for replay and new ones append after them;
-     * otherwise the file restarts empty.
+     * otherwise, or when the file's header is not the current journal
+     * version, the file restarts empty.
      * @return number of journaled outcomes loaded for replay.
      */
     std::size_t setJournal(const std::string &path, bool resume);

@@ -28,34 +28,27 @@ fail() {
     fail "successful run left its checkpoint behind"
 
 # --- interrupted run: SIGKILL mid-sweep ------------------------------
-# Serial worker keeps the sweep slow enough to land the kill while
-# jobs are still outstanding; retry with a shorter fuse if the run
-# wins the race and completes.
+# One serial run, SIGKILLed as soon as its checkpoint holds a journaled
+# record after the version header: however long the first record takes
+# to land (a sanitizer build is many times slower than Release), the
+# kill leaves the checkpoint populated and jobs still outstanding.
+ckpt="$WORK/part/${ARTIFACT}_sweep.ckpt"
+"$AXMEMO" run $ARTIFACT --out "$WORK/part" --no-timing --jobs 1 \
+    > /dev/null 2>&1 &
+pid=$!
 interrupted=0
-for delay in 2.0 1.0 0.5 0.25 0.1; do
-    rm -rf "$WORK/part"
-    "$AXMEMO" run $ARTIFACT --out "$WORK/part" --no-timing --jobs 1 \
-        > /dev/null 2>&1 &
-    pid=$!
-    sleep "$delay"
-    if kill -KILL "$pid" 2>/dev/null; then
-        wait "$pid" 2>/dev/null
-        # A meaningful interruption leaves the checkpoint behind with
-        # at least one journaled record after the version header.
-        if [ -f "$WORK/part/${ARTIFACT}_sweep.ckpt" ] &&
-            [ "$(grep -c '"key"' \
-                "$WORK/part/${ARTIFACT}_sweep.ckpt")" -ge 1 ]; then
-            interrupted=1
-            break
-        fi
-    else
-        wait "$pid" 2>/dev/null
+while kill -0 "$pid" 2>/dev/null; do
+    if [ -f "$ckpt" ] && [ "$(grep -c '"key"' "$ckpt")" -ge 1 ]; then
+        kill -KILL "$pid" 2>/dev/null && interrupted=1
+        break
     fi
+    sleep 0.05
 done
-[ "$interrupted" = 1 ] ||
+wait "$pid" 2>/dev/null
+[ "$interrupted" = 1 ] && [ -f "$ckpt" ] ||
     fail "could not interrupt a run with a populated checkpoint"
 
-records=$(grep -c '"key"' "$WORK/part/${ARTIFACT}_sweep.ckpt")
+records=$(grep -c '"key"' "$ckpt")
 echo "kill_resume_smoke: killed mid-run with $records journaled job(s)"
 
 # --- resume and compare ----------------------------------------------

@@ -56,7 +56,9 @@ claims=$(ls "$SHARD"/claims/*.claim | wc -l)
 echo "shard_kill_smoke: victim killed holding $claims live claim(s)"
 
 # --- survivor: steals the expired lease and drains the queue ---------
-"$AXMEMO" run $ARTIFACT --out "$WORK/merged" --no-timing --jobs 1 \
+# Two threads: the survivor simulates nearly the whole sweep, the
+# longest step of this smoke (most of it in a sanitizer build).
+"$AXMEMO" run $ARTIFACT --out "$WORK/merged" --no-timing --jobs 2 \
     --shard-dir "$SHARD" --worker-id survivor --lease 1 \
     > /dev/null 2> "$WORK/survivor_stderr.txt" \
     || fail "survivor worker failed"

@@ -143,6 +143,7 @@ legacyRunPrepared(const ExperimentConfig &config,
     }
 
     result.outputs = workload.readOutputs(mem);
+    result.outputsDigest = digestOutputs(result.outputs);
     return result;
 }
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -200,9 +203,7 @@ TEST(GeometricMean, RejectsNonPositive)
 
 TEST(EmpiricalCdf, FractionsAndQuantiles)
 {
-    EmpiricalCdf cdf;
-    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0})
-        cdf.add(v);
+    const EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0, 5.0});
     EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(0.5), 0.0);
     EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(3.0), 0.6);
     EXPECT_DOUBLE_EQ(cdf.fractionAtOrBelow(10.0), 1.0);
@@ -212,14 +213,198 @@ TEST(EmpiricalCdf, FractionsAndQuantiles)
 
 TEST(EmpiricalCdf, EvaluateMatchesPointQueries)
 {
-    EmpiricalCdf cdf;
     Rng rng(3);
+    std::vector<double> samples;
     for (int i = 0; i < 100; ++i)
-        cdf.add(rng.uniform());
+        samples.push_back(rng.uniform());
+    const EmpiricalCdf cdf(samples);
     const std::vector<double> pts = {0.1, 0.5, 0.9};
     const auto fractions = cdf.evaluate(pts);
     for (std::size_t i = 0; i < pts.size(); ++i)
         EXPECT_DOUBLE_EQ(fractions[i], cdf.fractionAtOrBelow(pts[i]));
+}
+
+/**
+ * The raw-sample CDF that value/count runs replace: the samples sorted,
+ * quantile q read at index q*(n-1)+0.5 truncated, and the fraction at x
+ * counted with upper_bound.
+ */
+class RawSampleCdf
+{
+  public:
+    explicit RawSampleCdf(std::vector<double> samples)
+        : sorted_(std::move(samples))
+    {
+        std::sort(sorted_.begin(), sorted_.end());
+    }
+
+    double
+    quantile(double q) const
+    {
+        if (sorted_.empty())
+            return 0.0;
+        q = std::clamp(q, 0.0, 1.0);
+        const auto idx = static_cast<std::size_t>(
+            q * static_cast<double>(sorted_.size() - 1) + 0.5);
+        return sorted_[idx];
+    }
+
+    double
+    fractionAtOrBelow(double x) const
+    {
+        if (sorted_.empty())
+            return 0.0;
+        const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
+        return static_cast<double>(it - sorted_.begin()) /
+               static_cast<double>(sorted_.size());
+    }
+
+    const std::vector<double> &sorted() const { return sorted_; }
+
+  private:
+    std::vector<double> sorted_;
+};
+
+/** Bit-exact double equality (EXPECT_DOUBLE_EQ allows 4 ulps). */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::hexfloat << a << " != " << b;
+}
+
+/** Every query of @p cdf against @p ref: quantiles at 0, 1 and 101
+ * evenly spaced q; fractions and evaluate() at each distinct value,
+ * between neighbours and outside the range. */
+void
+expectMatchesReference(const EmpiricalCdf &cdf, const RawSampleCdf &ref,
+                       const std::string &what)
+{
+    ASSERT_EQ(cdf.size(), ref.sorted().size()) << what;
+    std::vector<double> qs = {0.0, 1.0};
+    for (int i = 0; i <= 100; ++i)
+        qs.push_back(i / 100.0);
+    for (double q : qs)
+        EXPECT_TRUE(sameBits(cdf.quantile(q), ref.quantile(q)))
+            << what << " q=" << q;
+
+    std::vector<double> points = {
+        -std::numeric_limits<double>::infinity(), -1.0,
+        std::numeric_limits<double>::infinity()};
+    const std::vector<double> &sorted = ref.sorted();
+    if (!sorted.empty()) {
+        points.push_back(sorted.front() - 1.0);
+        points.push_back(sorted.back() + 1.0);
+    }
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        if (i && sorted[i] == sorted[i - 1])
+            continue;
+        points.push_back(sorted[i]);
+        if (i + 1 < sorted.size() && sorted[i + 1] != sorted[i])
+            points.push_back(sorted[i] + (sorted[i + 1] - sorted[i]) / 2);
+    }
+    const std::vector<double> evaluated = cdf.evaluate(points);
+    ASSERT_EQ(evaluated.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const double expected = ref.fractionAtOrBelow(points[i]);
+        EXPECT_TRUE(sameBits(cdf.fractionAtOrBelow(points[i]), expected))
+            << what << " x=" << points[i];
+        EXPECT_TRUE(sameBits(evaluated[i], expected))
+            << what << " evaluate x=" << points[i];
+    }
+}
+
+TEST(EmpiricalCdf, RunsMatchRawSampleReference)
+{
+    std::vector<std::pair<std::string, std::vector<double>>> sets;
+    sets.push_back({"empty", {}});
+    sets.push_back({"one value", {0.25}});
+    sets.push_back({"all equal", std::vector<double>(1000, 3.5)});
+    Rng rng(11);
+    std::vector<double> distinct;
+    for (int i = 0; i < 5000; ++i)
+        distinct.push_back(rng.uniform(0.0, 2.0));
+    sets.push_back({"distinct", distinct});
+    // Shaped like fig7's error CDFs: ~700k samples over ~29k values,
+    // half of them exact (0), the rest Zipf-like over the others.
+    std::vector<double> ties;
+    for (int i = 0; i < 700000; ++i) {
+        const double u = rng.uniform();
+        ties.push_back(u < 0.5 ? 0.0
+                               : static_cast<double>(rng.below(29000) *
+                                                     rng.below(29000) /
+                                                     29000 + 1) /
+                                     7919.0);
+    }
+    sets.push_back({"fig7-shaped ties", ties});
+
+    for (const auto &[what, samples] : sets) {
+        const EmpiricalCdf cdf(samples);
+        expectMatchesReference(cdf, RawSampleCdf(samples), what);
+    }
+    EXPECT_GT(EmpiricalCdf(ties).runs().size(), 20000u);
+}
+
+TEST(EmpiricalCdf, RunsRoundTripThroughFromRuns)
+{
+    Rng rng(5);
+    std::vector<double> samples;
+    for (int i = 0; i < 20000; ++i)
+        samples.push_back(static_cast<double>(rng.below(500)) / 64.0);
+    const EmpiricalCdf cdf(samples);
+    const std::vector<EmpiricalCdf::Run> runs = cdf.runs();
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_GT(runs[i].count, 0u);
+        if (i) {
+            EXPECT_LT(runs[i - 1].value, runs[i].value);
+        }
+        total += runs[i].count;
+    }
+    EXPECT_EQ(total, samples.size());
+
+    const Expected<EmpiricalCdf> back = EmpiricalCdf::fromRuns(runs);
+    ASSERT_TRUE(back.ok()) << back.error().describe();
+    const std::vector<EmpiricalCdf::Run> again = back.value().runs();
+    ASSERT_EQ(again.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_TRUE(sameBits(again[i].value, runs[i].value));
+        EXPECT_EQ(again[i].count, runs[i].count);
+    }
+    expectMatchesReference(back.value(), RawSampleCdf(samples),
+                           "round trip");
+}
+
+TEST(EmpiricalCdf, FromRunsRejectsImpossibleRuns)
+{
+    using Run = EmpiricalCdf::Run;
+    const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+    const std::vector<std::vector<Run>> bad = {
+        {{0.2, 1}, {0.1, 1}},       // descending
+        {{0.1, 1}, {0.1, 1}},       // repeated value
+        {{0.1, 0}},                 // zero count
+        {{0.1, 5}, {0.2, max}},     // total wraps past 2^64
+        {{std::nan(""), 1}},        // NaN value
+        {{0.1, 1}, {std::nan(""), 1}},
+    };
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        const Expected<EmpiricalCdf> cdf = EmpiricalCdf::fromRuns(bad[i]);
+        ASSERT_FALSE(cdf.ok()) << i;
+        EXPECT_EQ(cdf.error().code, ErrorCode::Parse) << i;
+    }
+
+    // The largest representable total is fine and stays in [0, 1].
+    const Expected<EmpiricalCdf> huge =
+        EmpiricalCdf::fromRuns({{0.1, 5}, {0.2, max - 5}});
+    ASSERT_TRUE(huge.ok());
+    EXPECT_EQ(huge.value().size(), max);
+    EXPECT_LE(huge.value().fractionAtOrBelow(0.15), 1.0);
+    EXPECT_EQ(huge.value().fractionAtOrBelow(0.2), 1.0);
+    EXPECT_EQ(huge.value().quantile(1.0), 0.2);
+    EXPECT_EQ(huge.value().quantile(0.0), 0.1);
+    EXPECT_TRUE(EmpiricalCdf::fromRuns({}).ok());
 }
 
 TEST(CounterSet, AddGetMerge)
