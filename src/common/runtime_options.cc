@@ -126,15 +126,6 @@ RuntimeOptions::fromEnv()
     if (const char *env = envOrNull("AXMEMO_FAULT_INJECT"))
         options.faultInject = env;
 
-    if (const char *env = envOrNull("AXMEMO_DISPATCH")) {
-        if (std::strcmp(env, "auto") == 0 ||
-            std::strcmp(env, "threaded") == 0 ||
-            std::strcmp(env, "switch") == 0)
-            options.dispatch = env;
-        else
-            axm_warn("ignoring malformed AXMEMO_DISPATCH='", env,
-                     "' (want auto, threaded or switch)");
-    }
     if (const char *env = envOrNull("AXMEMO_NO_BATCH")) {
         if (std::strcmp(env, "1") == 0)
             options.blockBatch = false;
@@ -294,8 +285,6 @@ RuntimeOptions::describeKnobs()
            "0 zeroes host-timing fields in every report\n"
            "  AXMEMO_FAULT_INJECT --fault-inject <s> (off)             "
            "test hook: fail jobs matching <workload>[:<attempts>]\n"
-           "  AXMEMO_DISPATCH     --dispatch <m>     auto              "
-           "interpreter loop: auto | threaded | switch (bit-identical)\n"
            "  AXMEMO_NO_BATCH     --no-batch         0                 "
            "1 disables basic-block macro-op batching\n"
            "  AXMEMO_NO_SIMD      --no-simd          0                 "

@@ -22,10 +22,11 @@
  * knob it lists is not a field: AXMEMO_DEBUG is read by
  * trace::initFromEnv() (obs/trace.hh).
  *
- * The dispatch/batch/simd knobs select between bit-identical host data
- * paths (DESIGN.md §10): they change simulation speed, never simulated
+ * The batch/simd knobs select between bit-identical host data paths
+ * (DESIGN.md §10): they change simulation speed, never simulated
  * results, so they are host-side options rather than ExperimentConfig
- * fields and stay out of the canonical manifest serialization.
+ * fields and stay out of the canonical manifest serialization. The
+ * interpreter's dispatch form is not a knob: it is fixed per build.
  */
 
 #ifndef AXMEMO_COMMON_RUNTIME_OPTIONS_HH
@@ -80,10 +81,6 @@ struct RuntimeOptions
      * whose workload matches fail their first <attempts> attempts
      * (default: all attempts). Test/CI use only; empty = off. */
     std::string faultInject;
-    /** Interpreter dispatch mode: "auto" (threaded when compiled in),
-     * "threaded" (computed goto; warns and falls back if the build
-     * lacks it) or "switch" (portable fallback loop). */
-    std::string dispatch = "auto";
     /** Basic-block macro-op batching in the simulator inner loop;
      * AXMEMO_NO_BATCH=1 / --no-batch turns it off. */
     bool blockBatch = true;

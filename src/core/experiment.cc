@@ -19,7 +19,15 @@ ExperimentRunner::ExperimentRunner(const ExperimentConfig &config)
 std::uint64_t
 digestOutputs(const std::vector<double> &outputs)
 {
-    return fnv1a64(outputs.data(), outputs.size() * sizeof(double));
+    // FNV-1a's xor-multiply step, one output word at a time. With an
+    // odd prime each step is a bijection of the word and of the state,
+    // so changing any single word changes the digest.
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const double value : outputs) {
+        hash ^= doubleBits(value);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
 }
 
 RunResult

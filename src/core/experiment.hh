@@ -96,7 +96,8 @@ struct RunResult
     double energyPj() const { return energy.totalPj(); }
 };
 
-/** FNV-1a-64 over the bytes of @p outputs (RunResult::outputsDigest). */
+/** FNV-1a-64 with each output's 64-bit pattern as one input word
+ * (RunResult::outputsDigest). */
 std::uint64_t digestOutputs(const std::vector<double> &outputs);
 
 /** A subject run scored against its paired baseline. Both runs are

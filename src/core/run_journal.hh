@@ -19,7 +19,8 @@
  *
  * Fidelity. A record keeps what the reduce step reads, not the job's
  * output vector: the run's SimStats with every distribution bucket,
- * energy breakdown, regions and an FNV-1a-64 digest of its outputs;
+ * energy breakdown, regions and a digest of its outputs (FNV-1a-64,
+ * one output word per step; digestOutputs());
  * for a scored job also the baseline's (same fields, its own digest),
  * the scalar scores and the Fig. 10b error CDF as exact value/count
  * runs. The comparison's subject is the record's own run. Doubles are
@@ -29,9 +30,12 @@
  *
  * Versions. The header line names the format version. Records of
  * versions 1 and 2 do not decode (they carry no output digest), so
- * their jobs re-simulate, and a resume of a journal whose header is
- * not the current version starts the file afresh rather than
- * appending under the old header.
+ * their jobs re-simulate. Version 4 changed only the digest, from one
+ * byte per step to one output word per step, so version-3 records
+ * still decode; the header keeps them out: a resume of a journal
+ * whose header is not the current version starts the file afresh
+ * rather than appending under the old header, and probe() (with it
+ * `axmemo merge`) rejects the file.
  *
  * Tolerance. load() ignores any line it cannot parse — in particular a
  * torn final line from a mid-write kill. An ignored line only means
@@ -62,7 +66,7 @@ class SweepJournal
     SweepJournal &operator=(const SweepJournal &) = delete;
 
     /** The format version written in, and required of, the header. */
-    static constexpr int version = 3;
+    static constexpr int version = 4;
 
     /** Journal path for sweep label @p label inside @p outDir. */
     static std::string pathFor(const std::string &label,

@@ -54,7 +54,7 @@ enum class Flag : unsigned
     Dram,  ///< DRAM row hits/misses
     Lut,   ///< lookup-table internals: insert/evict/invalidate
     Sweep, ///< sweep engine: phases, job lifecycle, cache reuse
-    Host,  ///< host-side execution paths (dispatch mode, CRC kernel)
+    Host,  ///< host-side execution paths (interpreter loop, CRC kernel)
     NumFlags
 };
 
@@ -79,6 +79,7 @@ extern thread_local constinit std::uint64_t tlsCycle;
  * trace point dead-code-eliminates, message formatting included. */
 constexpr bool enabled(Flag) { return false; }
 constexpr bool anyEnabled() { return false; }
+constexpr bool anyEnabledExcept(Flag) { return false; }
 
 #else
 
@@ -95,6 +96,14 @@ inline bool
 anyEnabled()
 {
     return detail::flagWord.load(std::memory_order_relaxed) != 0;
+}
+
+/** @return true iff any flag other than @p flag is enabled. */
+inline bool
+anyEnabledExcept(Flag flag)
+{
+    return detail::flagWord.load(std::memory_order_relaxed) &
+           ~(1u << static_cast<unsigned>(flag));
 }
 
 #endif // AXMEMO_NO_TRACE

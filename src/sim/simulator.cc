@@ -11,10 +11,11 @@
 #include "obs/trace.hh"
 
 /**
- * Computed-goto (labels-as-values) threaded dispatch is a GNU
- * extension; gate it on the compilers that provide it and leave
- * -DAXMEMO_FORCE_PORTABLE a single switch that strips every
- * non-standard fast path from the build (matching crc_accel.cc).
+ * The dispatch form of both interpreter loops, fixed per build.
+ * Computed goto (labels-as-values) is a GNU extension; gate it on the
+ * compilers that provide it and leave -DAXMEMO_FORCE_PORTABLE a single
+ * switch that strips every non-standard fast path from the build
+ * (matching crc_accel.cc).
  */
 #if (defined(__GNUC__) || defined(__clang__)) &&                             \
     !defined(AXMEMO_FORCE_PORTABLE)
@@ -209,29 +210,12 @@ Simulator::raiseRunaway()
                    ") — runaway loop?");
 }
 
+template <bool Lean>
 Cycle
-Simulator::runSwitch()
+Simulator::runLoop()
 {
-#define AXM_THREADED 0
 #include "sim/interp_body.inc"
-#undef AXM_THREADED
 }
-
-#if AXMEMO_HAVE_COMPUTED_GOTO
-Cycle
-Simulator::runThreaded()
-{
-#define AXM_THREADED 1
-#include "sim/interp_body.inc"
-#undef AXM_THREADED
-}
-#else
-Cycle
-Simulator::runThreaded()
-{
-    return runSwitch(); // threaded dispatch not compiled in
-}
-#endif
 
 const SimStats &
 Simulator::run()
@@ -249,24 +233,23 @@ Simulator::run()
     const RuntimeOptions opts = RuntimeOptions::global();
     batched_ = opts.blockBatch;
     nextPoll_ = 0x10000;
-#if AXMEMO_HAVE_COMPUTED_GOTO
-    const bool threaded = opts.dispatch != "switch";
-#else
-    const bool threaded = false;
-    if (opts.dispatch == "threaded")
-        axm_warn("simulator: threaded dispatch not compiled in "
-                 "(portable build); falling back to switch");
-#endif
+    // The lean loop fixes interp_body.inc's six per-run mode values to
+    // in-order, batched and unobserved; take it whenever they hold.
+    // Host alone does not stop it: its one line is printed here,
+    // before either loop.
+    ranLean_ = !config_.cpu.outOfOrder && batched_ && !traceBuf_ &&
+               !traceHook_ && !trace::anyEnabledExcept(trace::Flag::Host);
     if (trace::enabled(trace::Flag::Host)) {
         trace::setCycle(0);
-        AXM_TRACE(Host, "host",
-                  "dispatch=", threaded ? "threaded" : "switch",
+        AXM_TRACE(Host, "host", "loop=", ranLean_ ? "lean" : "general",
+                  " dispatch=",
+                  AXMEMO_HAVE_COMPUTED_GOTO ? "threaded" : "switch",
                   " batch=", batched_ ? "on" : "off",
                   " crc=", memoUnit_.engine().bulkPathName(),
                   " cpu=", cpuSimdSummary());
     }
 
-    const Cycle endCycle = threaded ? runThreaded() : runSwitch();
+    const Cycle endCycle = ranLean_ ? runLoop<true>() : runLoop<false>();
 
     stats_.cycles = std::max(endCycle, frontCycle_);
     ev_.mergeInto(stats_.events);

@@ -17,18 +17,21 @@
  * lookup waits for the pending CRC then probes the LUTs with Table 4
  * latencies, and br_hit/br_miss consume the condition flag it sets.
  *
- * Interpreter dispatch (DESIGN.md §10). The per-instruction handlers
- * live once in sim/interp_body.inc and are instantiated twice: as a
- * plain switch (the portable fallback) and as computed-goto threaded
- * dispatch where labels-as-values is available (GCC/Clang, unless
- * -DAXMEMO_FORCE_PORTABLE). AXMEMO_DISPATCH / --dispatch selects the
- * mode at run time; both produce bit-identical simulated state, stats,
- * and traces. Independently, macro-op batching (AXMEMO_NO_BATCH /
- * --no-batch to disable) folds the purely static per-instruction
- * counters — macro-instruction, µop, and per-class µop-event totals —
- * into per-basic-block sums (isa/blocks.hh) added once per block
- * entry, with the runaway guard and watchdog poll moving to block
- * granularity. Dynamic stats and all timing stay per-instruction.
+ * Interpreter loops (DESIGN.md §10). The per-instruction handlers
+ * live once in sim/interp_body.inc and are compiled into two loops:
+ * a lean loop with the per-run mode tests folded to constants
+ * (in-order, block-batched, no observer), which run() takes whenever
+ * the run allows it, and the general loop for out-of-order, unbatched
+ * and observed runs. Both retire bit-identical simulated state,
+ * stats, and traces. The dispatch form is fixed per build: computed
+ * goto where labels-as-values is available (GCC/Clang), a plain
+ * switch under -DAXMEMO_FORCE_PORTABLE. Macro-op batching
+ * (AXMEMO_NO_BATCH / --no-batch to disable) folds the purely static
+ * per-instruction counters — macro-instruction, µop, and per-class
+ * µop-event totals — into per-basic-block sums (isa/blocks.hh) added
+ * once per block entry, with the runaway guard and watchdog poll
+ * moving to block granularity. Dynamic stats and all timing stay
+ * per-instruction.
  */
 
 #ifndef AXMEMO_SIM_SIMULATOR_HH
@@ -164,6 +167,9 @@ class Simulator
     /** Execute from instruction 0 until Halt. @return final stats. */
     const SimStats &run();
 
+    /** True once run() has taken the lean loop (see file comment). */
+    bool ranLean() const { return ranLean_; }
+
     const SimStats &stats() const { return stats_; }
     MemoizationUnit &memoUnit() { return memoUnit_; }
     MemHierarchy &hierarchy() { return hierarchy_; }
@@ -219,9 +225,9 @@ class Simulator
          * fallthrough, not only at control transfers. */
         bool enterNext = false;
         Ev uopEv = Ev::NumEvents; ///< NumEvents when EnergyClass::None
-        /** Handler address for threaded dispatch, resolved by the
-         * runThreaded() prelude (labels are function-local); unused by
-         * runSwitch(). Lives here so dispatch reads it from the same
+        /** Handler address for computed-goto dispatch, resolved by
+         * the loop's prelude (labels are function-local); unused in a
+         * portable build. Lives here so dispatch reads it from the same
          * cache line as the rest of the decode. */
         const void *label = nullptr;
     };
@@ -230,9 +236,8 @@ class Simulator
     Cycle issueUops(Cycle earliest, unsigned uops);
     Cycle *fuSlot(FuClass fu);
 
-    // --- interpreter cores (sim/interp_body.inc, see file comment) ---
-    Cycle runSwitch();
-    Cycle runThreaded();
+    // --- interpreter loops (sim/interp_body.inc, see file comment) ---
+    template <bool Lean> Cycle runLoop();
     /** Fold a block's static aggregates into the stats at block entry;
      * runs the runaway guard and watchdog poll at block granularity.
      * Inline: it fires once per basic block, and hot blocks are short. */
@@ -292,6 +297,7 @@ class Simulator
 
     // Run-time interpreter mode (resolved from RuntimeOptions by run()).
     bool batched_ = true;
+    bool ranLean_ = false;
     /** Next stats_.macroInsts threshold for the batched watchdog poll. */
     std::uint64_t nextPoll_ = 0;
 

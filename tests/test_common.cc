@@ -735,8 +735,7 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
 
 TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
 {
-    const char *const knobs[] = {"AXMEMO_DISPATCH", "AXMEMO_NO_BATCH",
-                                 "AXMEMO_NO_SIMD"};
+    const char *const knobs[] = {"AXMEMO_NO_BATCH", "AXMEMO_NO_SIMD"};
     std::vector<std::string> saved; // empty == was unset (or empty)
     for (const char *knob : knobs) {
         const char *value = std::getenv(knob);
@@ -745,20 +744,14 @@ TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
     }
 
     const RuntimeOptions defaults = RuntimeOptions::fromEnv();
-    EXPECT_EQ(defaults.dispatch, "auto");
     EXPECT_TRUE(defaults.blockBatch);
     EXPECT_TRUE(defaults.simd);
 
-    setenv("AXMEMO_DISPATCH", "switch", 1);
     setenv("AXMEMO_NO_BATCH", "1", 1);
     setenv("AXMEMO_NO_SIMD", "1", 1);
     const RuntimeOptions parsed = RuntimeOptions::fromEnv();
-    EXPECT_EQ(parsed.dispatch, "switch");
     EXPECT_FALSE(parsed.blockBatch);
     EXPECT_FALSE(parsed.simd);
-
-    setenv("AXMEMO_DISPATCH", "threaded", 1);
-    EXPECT_EQ(RuntimeOptions::fromEnv().dispatch, "threaded");
 
     // "0" is the explicit default spelling, not malformed.
     setenv("AXMEMO_NO_BATCH", "0", 1);
@@ -767,11 +760,9 @@ TEST(RuntimeOptions, DispatchBatchSimdKnobsParse)
     EXPECT_TRUE(RuntimeOptions::fromEnv().simd);
 
     // Malformed values warn and keep the defaults, never crash.
-    setenv("AXMEMO_DISPATCH", "turbo", 1);
     setenv("AXMEMO_NO_BATCH", "yes", 1);
     setenv("AXMEMO_NO_SIMD", "2", 1);
     const RuntimeOptions defensive = RuntimeOptions::fromEnv();
-    EXPECT_EQ(defensive.dispatch, "auto");
     EXPECT_TRUE(defensive.blockBatch);
     EXPECT_TRUE(defensive.simd);
 
@@ -824,14 +815,16 @@ TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)
          {"AXMEMO_JOBS", "AXMEMO_SCALE", "AXMEMO_FULL",
           "AXMEMO_SWEEP_DIR", "AXMEMO_DEBUG", "AXMEMO_RETRIES",
           "AXMEMO_JOB_TIMEOUT", "AXMEMO_TIMING",
-          "AXMEMO_FAULT_INJECT", "AXMEMO_DISPATCH", "AXMEMO_NO_BATCH",
-          "AXMEMO_NO_SIMD"})
+          "AXMEMO_FAULT_INJECT", "AXMEMO_NO_BATCH", "AXMEMO_NO_SIMD"})
         EXPECT_NE(table.find(knob), std::string::npos) << knob;
     for (const char *flag :
          {"--jobs", "--scale", "--full", "--out", "--debug-flags",
           "--retries", "--job-timeout", "--no-timing",
-          "--fault-inject", "--dispatch", "--no-batch", "--no-simd"})
+          "--fault-inject", "--no-batch", "--no-simd"})
         EXPECT_NE(table.find(flag), std::string::npos) << flag;
+    // The dispatch form is a build property, not a knob.
+    EXPECT_EQ(table.find("DISPATCH"), std::string::npos);
+    EXPECT_EQ(table.find("--dispatch"), std::string::npos);
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Seeded mutation fuzzer for the checkpoint journal codec (version 3):
+ * Seeded mutation fuzzer for the checkpoint journal codec (version 4):
  * SweepJournal::decodeLine, load() and probe().
  *
  * There is no fuzzing engine: a fixed-seed loop mutates real encoded

@@ -8,16 +8,26 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "common/runtime_options.hh"
+#include "core/experiment.hh"
 #include "isa/builder.hh"
 #include "memsys/sim_memory.hh"
+#include "obs/trace.hh"
 #include "sim/branch_predictor.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace axmemo {
 namespace {
@@ -403,11 +413,49 @@ TEST(SimTiming, StatsAddUp)
 }
 
 /**
- * The dispatch-mode and block-batching knobs (DESIGN.md §10) select
- * host-side execution strategies only: every combination must retire
- * the same instructions, charge the same cycles, and count the same
- * events. This is the in-process twin of tests/dispatch_equivalence.sh,
- * which diffs whole artifact runs across binaries.
+ * Sets the block-batching knob where Simulator::run() reads it,
+ * RuntimeOptions::global(): the environment, or the frozen copy once a
+ * driver froze the options. Restores both when it goes.
+ */
+class BlockBatchScope
+{
+  public:
+    explicit BlockBatchScope(bool on)
+    {
+        if (const char *value = std::getenv("AXMEMO_NO_BATCH"))
+            savedEnv_ = value;
+        setenv("AXMEMO_NO_BATCH", on ? "0" : "1", 1);
+        if (RuntimeOptions::globalFrozen()) {
+            savedFrozen_ = RuntimeOptions::global();
+            RuntimeOptions opts = *savedFrozen_;
+            opts.blockBatch = on;
+            RuntimeOptions::setGlobal(opts);
+        }
+    }
+    ~BlockBatchScope()
+    {
+        if (savedEnv_.empty())
+            unsetenv("AXMEMO_NO_BATCH");
+        else
+            setenv("AXMEMO_NO_BATCH", savedEnv_.c_str(), 1);
+        if (savedFrozen_)
+            RuntimeOptions::setGlobal(*savedFrozen_);
+    }
+    BlockBatchScope(const BlockBatchScope &) = delete;
+    BlockBatchScope &operator=(const BlockBatchScope &) = delete;
+
+  private:
+    std::string savedEnv_;
+    std::optional<RuntimeOptions> savedFrozen_;
+};
+
+/**
+ * The lean and general interpreter loops and block batching (DESIGN.md
+ * §10) are host-side execution strategies only: every combination must
+ * retire the same instructions, charge the same cycles, and count the
+ * same events. An attached TraceBuffer and --no-batch each send a run
+ * to the general loop. This is the in-process twin of
+ * tests/dispatch_equivalence.sh, which diffs whole artifact runs.
  */
 TEST(SimEquivalence, DispatchAndBatchModesAreBitIdentical)
 {
@@ -416,18 +464,12 @@ TEST(SimEquivalence, DispatchAndBatchModesAreBitIdentical)
         SimStats stats;
         std::uint64_t acc = 0;
         float fval = 0.0f;
+        bool lean = false;
+        std::uint64_t observed = 0;
     };
 
-    const auto runWith = [](const char *dispatch,
-                            bool batch) -> Outcome {
-        setenv("AXMEMO_DISPATCH", dispatch, 1);
-        setenv("AXMEMO_NO_BATCH", batch ? "0" : "1", 1);
-        if (RuntimeOptions::globalFrozen()) {
-            RuntimeOptions opts = RuntimeOptions::global();
-            opts.dispatch = dispatch;
-            opts.blockBatch = batch;
-            RuntimeOptions::setGlobal(opts);
-        }
+    const auto runWith = [](bool batch, bool traceBuffer) -> Outcome {
+        const BlockBatchScope knob(batch);
 
         // Loops, taken/not-taken branches, loads, stores, and float
         // math: one of each thing the inner loop specializes on.
@@ -448,24 +490,26 @@ TEST(SimEquivalence, DispatchAndBatchModesAreBitIdentical)
         SimMemory mem;
         const Program p = b.finish();
         Simulator sim(p, mem, {});
-        Outcome out{sim.run(), sim.intReg(acc), sim.floatReg(y)};
+        TraceBuffer buffer;
+        if (traceBuffer)
+            sim.setTraceBuffer(&buffer);
+        Outcome out{sim.run(), sim.intReg(acc), sim.floatReg(y),
+                    sim.ranLean(), buffer.observed()};
         return out;
     };
 
-    const auto saveEnv = [](const char *name) -> std::string {
-        const char *value = std::getenv(name);
-        return value ? value : "";
-    };
-    const std::string savedDispatch = saveEnv("AXMEMO_DISPATCH");
-    const std::string savedNoBatch = saveEnv("AXMEMO_NO_BATCH");
-
-    const Outcome ref = runWith("switch", false);
+    // The reference: the general loop, counting per instruction.
+    const Outcome ref = runWith(false, false);
+    EXPECT_FALSE(ref.lean);
     EXPECT_EQ(ref.acc, 312u); // sum 0..23 twice + 12*1 + 12*2
-    for (const char *dispatch : {"switch", "threaded", "auto"}) {
-        for (const bool batch : {false, true}) {
-            const Outcome got = runWith(dispatch, batch);
-            SCOPED_TRACE(std::string("dispatch=") + dispatch +
-                         " batch=" + (batch ? "on" : "off"));
+    for (const bool batch : {false, true}) {
+        for (const bool traceBuffer : {false, true}) {
+            const Outcome got = runWith(batch, traceBuffer);
+            SCOPED_TRACE(std::string("batch=") + (batch ? "on" : "off") +
+                         " traceBuffer=" + (traceBuffer ? "on" : "off"));
+            EXPECT_EQ(got.lean, batch && !traceBuffer);
+            EXPECT_EQ(got.observed,
+                      traceBuffer ? ref.stats.macroInsts : 0u);
             EXPECT_EQ(got.acc, ref.acc);
             EXPECT_EQ(got.fval, ref.fval);
             EXPECT_EQ(got.stats.cycles, ref.stats.cycles);
@@ -482,19 +526,96 @@ TEST(SimEquivalence, DispatchAndBatchModesAreBitIdentical)
             EXPECT_EQ(got.stats.events.all(), ref.stats.events.all());
         }
     }
-
-    const auto restoreEnv = [](const char *name,
-                               const std::string &value) {
-        if (value.empty())
-            unsetenv(name);
-        else
-            setenv(name, value.c_str(), 1);
-    };
-    restoreEnv("AXMEMO_DISPATCH", savedDispatch);
-    restoreEnv("AXMEMO_NO_BATCH", savedNoBatch);
-    if (RuntimeOptions::globalFrozen())
-        RuntimeOptions::setGlobal(RuntimeOptions::fromEnv());
 }
+
+/**
+ * The lean loop against the general loop on whole workloads: each of
+ * the ten benchmarks under the baseline, the headline AxMemo LUT (8 KB
+ * L1 + 512 KB L2) and the software LUT runs once with batching on,
+ * which takes the lean loop, and once with --no-batch, which forces
+ * the general loop. Stats, memo-unit counters, every event counter
+ * and the output digest must match. Each run's one Host trace line
+ * shows which loop it took (when the trace layer is compiled in).
+ */
+class LoopEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
+{
+};
+
+TEST_P(LoopEquivalenceTest, LeanMatchesGeneral)
+{
+    const auto &[name, backend] = GetParam();
+    ExperimentConfig config;
+    config.dataset.scale = 0.01;
+    config.lut = {8 * 1024, 512 * 1024};
+    const ExperimentRunner runner(config);
+
+    const auto runWith = [&](bool batch, std::string *hostLine) {
+        const BlockBatchScope knob(batch);
+        auto workload = makeWorkload(name);
+        const std::string path = ::testing::TempDir() + "axmemo_loop_" +
+                                 std::to_string(::getpid()) + ".trace";
+        if (!trace::openTraceFile(path))
+            ADD_FAILURE() << "cannot open " << path;
+        trace::setFlag(trace::Flag::Host, true);
+        RunResult result = runner.run(*workload, backend);
+        trace::setFlag(trace::Flag::Host, false);
+        trace::closeTraceFile();
+        std::ifstream in(path);
+        std::getline(in, *hostLine);
+        std::remove(path.c_str());
+        return result;
+    };
+
+    std::string leanLine, generalLine;
+    const RunResult lean = runWith(true, &leanLine);
+    const RunResult general = runWith(false, &generalLine);
+#ifndef AXMEMO_NO_TRACE
+    EXPECT_NE(leanLine.find("loop=lean"), std::string::npos) << leanLine;
+    EXPECT_NE(generalLine.find("loop=general"), std::string::npos)
+        << generalLine;
+#endif
+
+    const SimStats &a = lean.stats;
+    const SimStats &b = general.stats;
+    EXPECT_GT(a.macroInsts, 0u);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.macroInsts, b.macroInsts);
+    EXPECT_EQ(a.uops, b.uops);
+    EXPECT_EQ(a.memoUops, b.memoUops);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.loads, b.loads);
+    EXPECT_EQ(a.stores, b.stores);
+    EXPECT_EQ(a.memoQueueStalls, b.memoQueueStalls);
+    EXPECT_EQ(a.regionEntries, b.regionEntries);
+    EXPECT_EQ(a.memo.lookups, b.memo.lookups);
+    EXPECT_EQ(a.memo.l1Hits, b.memo.l1Hits);
+    EXPECT_EQ(a.memo.l2Hits, b.memo.l2Hits);
+    EXPECT_EQ(a.memo.misses, b.memo.misses);
+    EXPECT_EQ(a.memo.sampledHits, b.memo.sampledHits);
+    EXPECT_EQ(a.memo.updates, b.memo.updates);
+    EXPECT_EQ(a.memo.invalidates, b.memo.invalidates);
+    EXPECT_EQ(a.memo.inputBytesHashed, b.memo.inputBytesHashed);
+    EXPECT_EQ(a.memo.monitorTripped, b.memo.monitorTripped);
+    EXPECT_EQ(a.events.all(), b.events.all());
+    EXPECT_EQ(lean.lookups, general.lookups);
+    EXPECT_EQ(lean.hits, general.hits);
+    EXPECT_EQ(lean.outputsDigest, general.outputsDigest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, LoopEquivalenceTest,
+    ::testing::Combine(::testing::ValuesIn(workloadNames()),
+                       ::testing::Values("baseline", "axmemo",
+                                         "software-lut")),
+    [](const ::testing::TestParamInfo<LoopEquivalenceTest::ParamType>
+           &info) {
+        std::string label = std::get<0>(info.param) + "_" +
+                            std::get<1>(info.param);
+        std::replace(label.begin(), label.end(), '-', '_');
+        return label;
+    });
 
 } // namespace
 } // namespace axmemo

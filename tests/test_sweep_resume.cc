@@ -211,13 +211,14 @@ TEST(SweepResume, OutputsDigestIsFnv1aOfOutputBytes)
     enqueueMatrix(engine);
     const std::vector<SweepOutcome> outcomes = engine.execute();
 
-    // FNV-1a-64, written out here independently of the library's.
+    // FNV-1a-64 over one 64-bit output word per step, written out
+    // here independently of the library's.
     const auto fnv = [](const std::vector<double> &values) {
         std::uint64_t hash = 0xcbf29ce484222325ull;
-        const auto *bytes =
-            reinterpret_cast<const unsigned char *>(values.data());
-        for (std::size_t i = 0; i < values.size() * sizeof(double); ++i) {
-            hash ^= bytes[i];
+        for (const double value : values) {
+            std::uint64_t word = 0;
+            std::memcpy(&word, &value, sizeof(word));
+            hash ^= word;
             hash *= 0x100000001b3ull;
         }
         return hash;
@@ -280,9 +281,12 @@ TEST(SweepResume, ResumeRestartsJournalOfAnotherVersion)
     const std::vector<SweepOutcome> uninterrupted = first.execute();
 
     // An old header followed by a line that would otherwise replay.
+    // The previous version's records still decode (only the digest's
+    // definition changed), so the header alone must keep them out.
     {
         std::ofstream out(journal.path(), std::ios::binary);
-        out << "{\"axmemo_sweep_journal\":1}\n"
+        out << "{\"axmemo_sweep_journal\":"
+            << SweepJournal::version - 1 << "}\n"
             << SweepJournal::encodeLine(SweepJournal::jobKey(jobs[0]),
                                         uninterrupted[0])
             << '\n';
@@ -751,7 +755,7 @@ TEST(SweepResume, ProbeClassifiesJournalDamage)
     }
     result = SweepJournal::probe(good.path());
     ASSERT_TRUE(result.ok()) << result.error().describe();
-    EXPECT_EQ(result.value().version, 3);
+    EXPECT_EQ(result.value().version, 4);
 }
 
 TEST(SweepResume, AppendOpenOnFreshPathWritesExactlyOneHeader)

@@ -23,8 +23,8 @@
  * Fault tolerance (--resume/--retries/--job-timeout/--isolate), shard
  * fleets (--shard-dir/--workers/--worker-id/--lease), observability
  * (--debug-flags/--trace-out/--trace-timeline) and the host data-path
- * knobs (--dispatch/--no-batch/--no-simd) are documented in the flag
- * table, the runtime-knob table (`axmemo help`), and DESIGN.md §§8-14.
+ * knobs (--no-batch/--no-simd) are documented in the flag table, the
+ * runtime-knob table (`axmemo help`), and DESIGN.md §§8-14.
  *
  * Besides stdout, each run emits <name>_sweep.json (host-side sweep
  * performance), <name>.json (result rows) and <name>_stats.txt (one

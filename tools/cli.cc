@@ -117,18 +117,6 @@ flagTable()
              a.runtime.isolate = true;
              return true;
          }},
-        {"--dispatch", "<m>", "interpreter loop: auto|threaded|switch",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             if (std::strcmp(v, "auto") != 0 &&
-                 std::strcmp(v, "threaded") != 0 &&
-                 std::strcmp(v, "switch") != 0)
-                 return fail(error,
-                             std::string("--dispatch wants auto, "
-                                         "threaded or switch (got '") +
-                                 v + "')");
-             a.runtime.dispatch = v;
-             return true;
-         }},
         {"--no-batch", nullptr, "disable basic-block macro-op batching",
          +[](CommonArgs &a, const char *, std::string *) {
              a.runtime.blockBatch = false;
