@@ -43,7 +43,7 @@ class EstimatorValidationArtifact final : public Artifact
         coverages_.assign(names.size(), 0.0);
         comparisons_.assign(names.size(), {});
         parallelFor(
-            ThreadPool::jobsFromEnv(), names.size(),
+            RuntimeOptions::global().workerCount(), names.size(),
             [&](std::size_t i) {
                 auto workload = makeWorkload(names[i]);
 

@@ -39,7 +39,7 @@ class Table1Artifact final : public Artifact
         // instead of the allocation-per-entry hook path.
         const std::vector<std::string> names = workloadNames();
         analyses_.assign(names.size(), {});
-        parallelFor(ThreadPool::jobsFromEnv(), names.size(),
+        parallelFor(RuntimeOptions::global().workerCount(), names.size(),
                     [&](std::size_t i) {
                         auto workload = makeWorkload(names[i]);
 

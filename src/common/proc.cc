@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "obs/json_escape.hh"
 #include "obs/trace.hh"
 
 namespace axmemo {
@@ -33,31 +34,6 @@ writeAll(int fd, const char *data, std::size_t size)
         size -= static_cast<std::size_t>(n);
     }
     return true;
-}
-
-void
-appendJsonEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 /**
@@ -151,11 +127,11 @@ errorToJson(const Error &error)
 {
     std::string out = "{\"code\":\"";
     out += errorCodeName(error.code);
-    out += "\",\"component\":";
-    appendJsonEscaped(out, error.component);
-    out += ",\"message\":";
-    appendJsonEscaped(out, error.message);
-    out += '}';
+    out += "\",\"component\":\"";
+    out += jsonEscape(error.component);
+    out += "\",\"message\":\"";
+    out += jsonEscape(error.message);
+    out += "\"}";
     return out;
 }
 

@@ -1,5 +1,6 @@
 #include "common/runtime_options.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -16,13 +17,6 @@ namespace {
 /** The frozen driver copy; null until setGlobal(). */
 RuntimeOptions *frozen = nullptr;
 
-const char *
-envOrNull(const char *name)
-{
-    const char *value = std::getenv(name);
-    return value && *value ? value : nullptr;
-}
-
 /** A parse rule's rejection; the message says what the rule wants. */
 Error
 malformed(std::string want)
@@ -30,23 +24,194 @@ malformed(std::string want)
     return Error{ErrorCode::Config, "knob", std::move(want)};
 }
 
-/** Apply one env knob through its parse rule; warn and keep the
- * default on malformed text. */
-template <typename T>
-bool
-envKnob(const char *name, const char *text, const Expected<T> &parsed,
-        T &out)
+/** Store @p parsed in @p field, or pass the rejection on. */
+template <typename T, typename Field>
+Expected<void>
+store(const Expected<T> &parsed, Field &field)
 {
-    if (parsed.ok()) {
-        out = parsed.value();
-        return true;
-    }
-    axm_warn("ignoring malformed ", name, "='", text, "' (want ",
-             parsed.error().message, ")");
-    return false;
+    if (!parsed.ok())
+        return parsed.error();
+    field = parsed.value();
+    return {};
 }
 
+// The rules knob rows are built from. Each writes only on success.
+
+template <auto Field>
+Expected<void>
+freeText(RuntimeOptions &options, const char *text)
+{
+    options.*Field = text;
+    return {};
+}
+
+template <auto Field>
+Expected<void>
+positive(RuntimeOptions &options, const char *text)
+{
+    return store(parsePositiveDouble(text), options.*Field);
+}
+
+/** An integer in [Min, Max]; below Min "wants at least Min". */
+template <auto Field, unsigned Max, unsigned Min = 0>
+Expected<void>
+bounded(RuntimeOptions &options, const char *text)
+{
+    const Expected<unsigned> parsed = parseUnsigned(text, Max);
+    if (parsed.ok() && parsed.value() < Min)
+        return malformed("at least " + std::to_string(Min));
+    return store(parsed, options.*Field);
+}
+
+template <auto Field, std::uint64_t Min = 0>
+Expected<void>
+u64(RuntimeOptions &options, const char *text)
+{
+    const Expected<std::uint64_t> parsed = parseU64(text);
+    if (parsed.ok() && parsed.value() < Min)
+        return malformed("at least " + std::to_string(Min));
+    return store(parsed, options.*Field);
+}
+
+/**
+ * A 0/1 switch: "1" sets Field to One, "0" to !One (so "0" is the
+ * accepted spelling of the default), and the bare flag to Flag. The
+ * flag always stands for the value that is not the default.
+ */
+template <auto Field, bool One, bool Flag = One>
+Expected<void>
+flagSwitch(RuntimeOptions &options, const char *text)
+{
+    if (!text)
+        options.*Field = Flag;
+    else if (std::strcmp(text, "1") == 0 || std::strcmp(text, "0") == 0)
+        options.*Field = (text[0] == '1') == One;
+    else
+        return malformed("0 or 1");
+    return {};
+}
+
+/** One of the names in Choices. */
+template <auto Field, const auto &Choices>
+Expected<void>
+choice(RuntimeOptions &options, const char *text)
+{
+    for (const char *name : Choices) {
+        if (std::strcmp(text, name) == 0) {
+            options.*Field = name;
+            return {};
+        }
+    }
+    std::string want;
+    for (const char *name : Choices)
+        want += (want.empty() ? "" : " or ") + std::string(name);
+    return malformed(want);
+}
+
+/** --scale also records that a scale was given. */
+Expected<void>
+scale(RuntimeOptions &options, const char *text)
+{
+    Expected<void> stored = positive<&RuntimeOptions::scale>(options, text);
+    if (stored.ok())
+        options.scaleSet = true;
+    return stored;
+}
+
+constexpr const char *servePolicies[] = {"partitioned", "shared"};
+
+using R = RuntimeOptions;
+
+const Knob knobs[] = {
+    {"AXMEMO_JOBS", "--jobs", "<n>", "0",
+     "sweep worker count (0 = hardware threads)",
+     bounded<&R::jobs, R::maxJobs>},
+    {"AXMEMO_SCALE", "--scale", "<f>", "0.125", "dataset scale factor",
+     scale},
+    {"AXMEMO_FULL", "--full", nullptr, "0",
+     "paper-size inputs (scale 1.0, over any scale)",
+     flagSwitch<&R::full, true>},
+    {"AXMEMO_SWEEP_DIR", "--out", "<dir>", ".",
+     "output directory for reports and manifest", freeText<&R::outDir>},
+    {"AXMEMO_RETRIES", "--retries", "<n>", "1",
+     "per-job retries after a failure (not timeouts)",
+     bounded<&R::retries, R::maxRetries>},
+    {"AXMEMO_JOB_TIMEOUT", "--job-timeout", "<s>", "off",
+     "per-job watchdog seconds; expired jobs are timed out",
+     positive<&R::jobTimeoutSeconds>},
+    {"AXMEMO_TIMING", "--no-timing", nullptr, "1",
+     "0 zeroes host-timing fields (byte-comparable reports)",
+     flagSwitch<&R::reportTiming, true, false>},
+    {"AXMEMO_FAULT_INJECT", "--fault-inject", "<w[:n]>", "off",
+     "test hook: fail jobs matching <workload>[:<attempts>]",
+     freeText<&R::faultInject>},
+    {"AXMEMO_NO_BATCH", "--no-batch", nullptr, "0",
+     "1 disables basic-block macro-op batching",
+     flagSwitch<&R::blockBatch, false>},
+    {"AXMEMO_NO_SIMD", "--no-simd", nullptr, "0",
+     "1 disables the SSE4.2/PCLMUL CRC kernels",
+     flagSwitch<&R::simd, false>},
+    {"AXMEMO_SHARD_DIR", "--shard-dir", "<dir>", "off",
+     "shared work-queue directory: cooperate with other workers",
+     freeText<&R::shardDir>},
+    {"AXMEMO_WORKER_ID", "--worker-id", "<s>", "w<pid>",
+     "this worker's identity inside the shard directory",
+     freeText<&R::workerId>},
+    {"AXMEMO_LEASE", "--lease", "<s>", "30",
+     "claim lease seconds; a staler claim is stolen",
+     positive<&R::leaseSeconds>},
+    {"AXMEMO_ISOLATE", "--isolate", nullptr, "0",
+     "1 forks every simulated job into a watchdogged child",
+     flagSwitch<&R::isolate, true>},
+    {"AXMEMO_TIMELINE", "--trace-timeline", "<file>", "off",
+     "write a Chrome-trace/Perfetto span timeline", freeText<&R::timeline>},
+    {"AXMEMO_SERVE_SOCKET", "--socket", "<path>", "<out>/axmemo.sock",
+     "serve/replay: AF_UNIX socket path", freeText<&R::serveSocket>},
+    {"AXMEMO_SERVE_POLICY", "--policy", "<p>", "partitioned",
+     "serve: tenant->LUT_ID mapping, partitioned or shared",
+     choice<&R::servePolicy, servePolicies>},
+    {"AXMEMO_SERVE_TENANTS", "--tenants", "<n>", "2",
+     "serve: tenants to provision (max 8 partitioned)",
+     bounded<&R::serveTenants, R::maxServeTenants, 1>},
+    {"AXMEMO_SERVE_QUOTA", "--quota", "<n>", "0",
+     "serve: per-tenant LUT entry quota (0 = unlimited)",
+     u64<&R::serveQuota>},
+    {"AXMEMO_SERVE_LUT", "--lut-bytes", "<n>", "65536",
+     "serve: physical LUT size in bytes", u64<&R::serveLutBytes, 1>},
+    {"AXMEMO_SERVE_QUEUE", "--queue", "<n>", "1024",
+     "serve: bounded Run-queue depth; a full queue sheds Runs",
+     bounded<&R::serveQueue, R::maxServeQueue, 1>},
+    {"AXMEMO_TRACE_SEED", "--seed", "<n>", "42",
+     "replay: request-trace generator seed", u64<&R::traceSeed>},
+    {"AXMEMO_TRACE_REQUESTS", "--requests", "<n>", "0",
+     "replay: requests to generate (0 = the smoke trace's 4000)",
+     u64<&R::traceRequests>},
+};
+
 } // namespace
+
+std::span<const Knob>
+knobTable()
+{
+    return knobs;
+}
+
+std::string
+optionHelpLine(const OptionDoc &doc)
+{
+    std::string line = "  ";
+    line += doc.flag;
+    if (doc.valueName)
+        line += std::string(" ") + doc.valueName;
+    line.resize(std::max<std::size_t>(line.size() + 1, 26), ' ');
+    if (doc.env)
+        line += doc.env;
+    line.resize(std::max<std::size_t>(line.size() + 1, 49), ' ');
+    line += doc.help;
+    if (doc.defaultText)
+        line += std::string(" (default ") + doc.defaultText + ")";
+    return line + "\n";
+}
 
 Expected<double>
 parsePositiveDouble(const char *text)
@@ -91,113 +256,15 @@ RuntimeOptions
 RuntimeOptions::fromEnv()
 {
     RuntimeOptions options;
-
-    if (const char *env = envOrNull("AXMEMO_JOBS"))
-        envKnob("AXMEMO_JOBS", env, parseUnsigned(env, maxJobs),
-                options.jobs);
-
-    // AXMEMO_FULL must be exactly "1" ("10", "1x", ... are mistakes,
-    // not requests for full scale) and anything but "", "0", "1" is
-    // warned about instead of silently ignored.
-    if (const char *env = envOrNull("AXMEMO_FULL")) {
-        if (std::strcmp(env, "1") == 0)
-            options.full = true;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_FULL='", env,
-                     "' (want 0 or 1)");
+    for (const Knob &knob : knobTable()) {
+        const char *env = std::getenv(knob.env);
+        if (!env || !*env)
+            continue;
+        const Expected<void> applied = knob.rule(options, env);
+        if (!applied.ok())
+            axm_warn("ignoring malformed ", knob.env, "='", env,
+                     "' (want ", applied.error().message, ")");
     }
-    if (const char *env = envOrNull("AXMEMO_SCALE"))
-        options.scaleSet = envKnob("AXMEMO_SCALE", env,
-                                   parsePositiveDouble(env), options.scale);
-
-    if (const char *env = envOrNull("AXMEMO_SWEEP_DIR"))
-        options.outDir = env;
-
-    if (const char *env = envOrNull("AXMEMO_RETRIES"))
-        envKnob("AXMEMO_RETRIES", env, parseUnsigned(env, maxRetries),
-                options.retries);
-    if (const char *env = envOrNull("AXMEMO_JOB_TIMEOUT"))
-        envKnob("AXMEMO_JOB_TIMEOUT", env, parsePositiveDouble(env),
-                options.jobTimeoutSeconds);
-
-    if (const char *env = std::getenv("AXMEMO_TIMING");
-        env && std::strcmp(env, "0") == 0)
-        options.reportTiming = false;
-    if (const char *env = envOrNull("AXMEMO_FAULT_INJECT"))
-        options.faultInject = env;
-
-    if (const char *env = envOrNull("AXMEMO_NO_BATCH")) {
-        if (std::strcmp(env, "1") == 0)
-            options.blockBatch = false;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_NO_BATCH='", env,
-                     "' (want 0 or 1)");
-    }
-    if (const char *env = envOrNull("AXMEMO_NO_SIMD")) {
-        if (std::strcmp(env, "1") == 0)
-            options.simd = false;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_NO_SIMD='", env,
-                     "' (want 0 or 1)");
-    }
-
-    if (const char *env = envOrNull("AXMEMO_SHARD_DIR"))
-        options.shardDir = env;
-    if (const char *env = envOrNull("AXMEMO_WORKER_ID"))
-        options.workerId = env;
-    if (const char *env = envOrNull("AXMEMO_LEASE"))
-        envKnob("AXMEMO_LEASE", env, parsePositiveDouble(env),
-                options.leaseSeconds);
-    if (const char *env = envOrNull("AXMEMO_ISOLATE")) {
-        if (std::strcmp(env, "1") == 0)
-            options.isolate = true;
-        else if (std::strcmp(env, "0") != 0)
-            axm_warn("ignoring malformed AXMEMO_ISOLATE='", env,
-                     "' (want 0 or 1)");
-    }
-    if (const char *env = envOrNull("AXMEMO_TIMELINE"))
-        options.timeline = env;
-
-    if (const char *env = envOrNull("AXMEMO_SERVE_SOCKET"))
-        options.serveSocket = env;
-    if (const char *env = envOrNull("AXMEMO_SERVE_POLICY")) {
-        if (std::strcmp(env, "shared") == 0 ||
-            std::strcmp(env, "partitioned") == 0)
-            options.servePolicy = env;
-        else
-            axm_warn("ignoring malformed AXMEMO_SERVE_POLICY='", env,
-                     "' (want shared or partitioned)");
-    }
-    if (const char *env = envOrNull("AXMEMO_SERVE_TENANTS")) {
-        unsigned tenants = 0;
-        if (envKnob("AXMEMO_SERVE_TENANTS", env,
-                    parseUnsigned(env, maxServeTenants), tenants) &&
-            tenants > 0)
-            options.serveTenants = tenants;
-    }
-    if (const char *env = envOrNull("AXMEMO_SERVE_QUOTA"))
-        envKnob("AXMEMO_SERVE_QUOTA", env, parseU64(env),
-                options.serveQuota);
-    if (const char *env = envOrNull("AXMEMO_SERVE_LUT")) {
-        std::uint64_t bytes = 0;
-        if (envKnob("AXMEMO_SERVE_LUT", env, parseU64(env), bytes) &&
-            bytes > 0)
-            options.serveLutBytes = bytes;
-    }
-    if (const char *env = envOrNull("AXMEMO_SERVE_QUEUE")) {
-        unsigned depth = 0;
-        if (envKnob("AXMEMO_SERVE_QUEUE", env,
-                    parseUnsigned(env, maxServeQueue), depth) &&
-            depth > 0)
-            options.serveQueue = depth;
-    }
-    if (const char *env = envOrNull("AXMEMO_TRACE_SEED"))
-        envKnob("AXMEMO_TRACE_SEED", env, parseU64(env),
-                options.traceSeed);
-    if (const char *env = envOrNull("AXMEMO_TRACE_REQUESTS"))
-        envKnob("AXMEMO_TRACE_REQUESTS", env, parseU64(env),
-                options.traceRequests);
-
     return options;
 }
 
@@ -260,61 +327,6 @@ RuntimeOptions::faultAttempts() const
     if (end == count.c_str() || *end != '\0')
         return ~0u;
     return static_cast<unsigned>(parsed);
-}
-
-std::string
-RuntimeOptions::describeKnobs()
-{
-    return "runtime knobs (environment variable / driver flag / "
-           "default):\n"
-           "  AXMEMO_JOBS         --jobs <n>         hardware threads  "
-           "sweep worker count (0 = hardware threads)\n"
-           "  AXMEMO_SCALE        --scale <f>        0.125             "
-           "dataset scale factor\n"
-           "  AXMEMO_FULL         --full             0                 "
-           "paper-size inputs (forces scale 1.0)\n"
-           "  AXMEMO_SWEEP_DIR    --out <dir>        .                 "
-           "output directory for reports and manifest\n"
-           "  AXMEMO_DEBUG        --debug-flags <s>  (off)             "
-           "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Host|All\n"
-           "  AXMEMO_RETRIES      --retries <n>      1                 "
-           "per-job retries after a failure (not timeouts)\n"
-           "  AXMEMO_JOB_TIMEOUT  --job-timeout <s>  0 (off)           "
-           "per-job watchdog; expired jobs are marked timed-out\n"
-           "  AXMEMO_TIMING       --no-timing        1                 "
-           "0 zeroes host-timing fields in every report\n"
-           "  AXMEMO_FAULT_INJECT --fault-inject <s> (off)             "
-           "test hook: fail jobs matching <workload>[:<attempts>]\n"
-           "  AXMEMO_NO_BATCH     --no-batch         0                 "
-           "1 disables basic-block macro-op batching\n"
-           "  AXMEMO_NO_SIMD      --no-simd          0                 "
-           "1 disables the SSE4.2/PCLMUL CRC kernels\n"
-           "  AXMEMO_SHARD_DIR    --shard-dir <d>    (off)             "
-           "shared work-queue directory: cooperate with other workers\n"
-           "  AXMEMO_WORKER_ID    --worker-id <s>    w<pid>            "
-           "this worker's identity inside the shard directory\n"
-           "  AXMEMO_LEASE        --lease <s>        30                "
-           "claim lease window; stale claims are stolen after this\n"
-           "  AXMEMO_ISOLATE      --isolate          0                 "
-           "1 forks every simulated job into a watchdogged child\n"
-           "  AXMEMO_TIMELINE     --trace-timeline <f> (off)           "
-           "write a Chrome-trace/Perfetto span timeline to <f>\n"
-           "  AXMEMO_SERVE_SOCKET --socket <path>    <out>/axmemo.sock "
-           "AF_UNIX socket the memo server binds / clients dial\n"
-           "  AXMEMO_SERVE_POLICY --policy <p>       partitioned       "
-           "tenant->LUT_ID mapping: partitioned | shared\n"
-           "  AXMEMO_SERVE_TENANTS --tenants <n>     2                 "
-           "tenants the server provisions (max 8 partitioned)\n"
-           "  AXMEMO_SERVE_QUOTA  --quota <n>        0 (unlimited)     "
-           "per-tenant LUT entry quota; excess updates are refused\n"
-           "  AXMEMO_SERVE_LUT    --lut-bytes <n>    65536             "
-           "physical serve LUT size in bytes\n"
-           "  AXMEMO_SERVE_QUEUE  --queue <n>        1024              "
-           "bounded Run-queue depth; full queue sheds Runs\n"
-           "  AXMEMO_TRACE_SEED   --seed <n>         42                "
-           "request-trace generator seed (replay / serve_traffic)\n"
-           "  AXMEMO_TRACE_REQUESTS --requests <n>   4000              "
-           "requests to replay (0 = the smoke trace default)\n";
 }
 
 } // namespace axmemo

@@ -1,26 +1,23 @@
 /**
  * @file
- * One struct for every host-side runtime knob.
+ * One struct for every host-side runtime knob, and the one table that
+ * declares them.
  *
- * The environment variables that steer a run (worker count, dataset
- * scale, output directory, retry/timeout policy) used to be parsed ad
- * hoc at each point of use — thread_pool read AXMEMO_JOBS, experiment
- * read AXMEMO_SCALE/AXMEMO_FULL, output_paths read AXMEMO_SWEEP_DIR,
- * and a new knob meant a new getenv scattered somewhere.
- * RuntimeOptions consolidates them: fromEnv() parses every knob exactly
- * once (with the same defensive warnings the scattered parsers used),
- * the axmemo driver layers its command-line flags on top and freezes
- * the result with setGlobal(), and the sweep/artifact APIs take the
- * struct explicitly. Code that still needs ambient access
- * (legacy bench helpers) goes through global(), which re-reads the
- * environment until a driver freezes it — so tests that setenv() at
+ * Each knob is one row of knobTable(): its environment variable, its
+ * `axmemo` flag, the value placeholder, the default and help text
+ * `axmemo help` prints, and one parse rule that checks the text and
+ * writes the RuntimeOptions field(s). Everything that reads a knob
+ * reads that row: fromEnv() is a loop over the rows (a malformed
+ * value warns and keeps the default), the driver's environment pass
+ * and flag parser look the same rows up (a malformed value, from
+ * either source, is a usage error naming it), and the help listing is
+ * rendered from them. A new knob is one row plus its field.
+ *
+ * The driver freezes its resolved options with setGlobal(); the
+ * sweep/artifact APIs take the struct explicitly. Code that still
+ * needs ambient access goes through global(), which re-reads the
+ * environment until a driver freezes it, so tests that setenv() at
  * runtime keep working.
- *
- * The knob inventory (environment variable, matching `axmemo` flag,
- * default, meaning) is describeKnobs() below, which `axmemo help`
- * prints; keep new knobs there rather than in a second list here. One
- * knob it lists is not a field: AXMEMO_DEBUG is read by
- * trace::initFromEnv() (obs/trace.hh).
  *
  * The batch/simd knobs select between bit-identical host data paths
  * (DESIGN.md §10): they change simulation speed, never simulated
@@ -33,6 +30,7 @@
 #define AXMEMO_COMMON_RUNTIME_OPTIONS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/expected.hh"
@@ -40,12 +38,10 @@
 namespace axmemo {
 
 /**
- * The parse rules of the numeric knobs, shared by fromEnv() and the
- * driver's flag table so a knob accepts the same text whichever way it
- * is set. The whole of @p text must parse and lie in range; otherwise
- * the ErrorCode::Config error's message says what the rule wants ("a
- * positive number"). fromEnv() warns and keeps the default; a flag
- * fails the command line.
+ * The parse rules of the numeric knobs, which the knob table's rows
+ * (and the driver's own numeric flags) are built from. The whole of
+ * @p text must parse and lie in range; otherwise the ErrorCode::Config
+ * error's message says what the rule wants ("a positive number").
  */
 Expected<double> parsePositiveDouble(const char *text);
 /** Decimal digits only (no sign, no blanks), value in [0, @p max]. */
@@ -105,8 +101,7 @@ struct RuntimeOptions
     std::string timeline;
 
     // `axmemo serve` / `axmemo replay` knobs (src/serve). Parsed here
-    // so the generated --help knob table stays complete and the shared
-    // CLI flag parser has one struct to fill.
+    // so the driver's flag parser has one struct to fill.
     /** AF_UNIX socket path; empty = "<outDir>/axmemo.sock". */
     std::string serveSocket;
     /** Tenant -> LUT_ID mapping: "partitioned" (isolated logical LUT
@@ -126,8 +121,8 @@ struct RuntimeOptions
     /** Requests to replay; 0 = the smoke spec's default. */
     std::uint64_t traceRequests = 0;
 
-    /** Parse every knob from the environment (defensive: malformed
-     * values warn and keep the default, same as the old parsers). */
+    /** Parse every knob from the environment through the knob table
+     * (defensive: a malformed value warns and keeps the default). */
     static RuntimeOptions fromEnv();
 
     /**
@@ -155,9 +150,46 @@ struct RuntimeOptions
     /** Number of attempts the injected fault survives (default: all). */
     unsigned faultAttempts() const;
 
-    /** The --help knob table (env var, flag, default, description). */
-    static std::string describeKnobs();
+    friend bool operator==(const RuntimeOptions &,
+                           const RuntimeOptions &) = default;
 };
+
+/**
+ * How one option is set and documented: its environment variable, its
+ * driver flag and its `axmemo help` line. The knob table's rows and
+ * the driver-only rows of tools/cli.cc both start with one.
+ */
+struct OptionDoc
+{
+    const char *env;         ///< "AXMEMO_SCALE"; nullptr = flag only
+    const char *flag;        ///< "--scale"
+    const char *valueName;   ///< "<f>"; nullptr = a switch (no value)
+    const char *defaultText; ///< as help prints it; nullptr = none
+    const char *help;        ///< one-line description
+};
+
+/** @p doc's line of the `axmemo help` listing: flag and value,
+ * variable, description and default, in aligned columns. */
+std::string optionHelpLine(const OptionDoc &doc);
+
+/**
+ * One option: its doc and its parse rule. The rule checks @p text and
+ * writes the field(s) of @p target the option sets; null @p text is
+ * the bare switch flag. A rejection is an ErrorCode::Config error
+ * whose message says what the rule wants ("a positive number"), and
+ * writes nothing.
+ */
+template <typename Target>
+struct OptionRow : OptionDoc
+{
+    Expected<void> (*rule)(Target &target, const char *text);
+};
+
+/** One runtime knob: a row of the knob table. */
+using Knob = OptionRow<RuntimeOptions>;
+
+/** The knob table: every RuntimeOptions knob, declared once. */
+std::span<const Knob> knobTable();
 
 } // namespace axmemo
 

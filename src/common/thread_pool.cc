@@ -1,10 +1,7 @@
 #include "common/thread_pool.hh"
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
 
-#include "common/log.hh"
-#include "common/runtime_options.hh"
 #include "obs/trace.hh"
 
 namespace axmemo {
@@ -79,14 +76,6 @@ ThreadPool::workerLoop()
                 idle_.notify_all();
         }
     }
-}
-
-unsigned
-ThreadPool::jobsFromEnv()
-{
-    // RuntimeOptions owns AXMEMO_JOBS parsing (with the same defensive
-    // warning); workerCount() resolves 0/unset to hardware threads.
-    return RuntimeOptions::global().workerCount();
 }
 
 void

@@ -49,12 +49,6 @@ class ThreadPool
 
     unsigned size() const { return threads_; }
 
-    /**
-     * Worker count from AXMEMO_JOBS: a positive integer, or unset/0 for
-     * the hardware thread count. Malformed values warn and fall back.
-     */
-    static unsigned jobsFromEnv();
-
   private:
     void workerLoop();
 

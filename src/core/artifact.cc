@@ -7,6 +7,7 @@
 
 #include "common/interrupt.hh"
 #include "common/log.hh"
+#include "common/proc.hh"
 #include "core/config_io.hh"
 #include "core/json_export.hh"
 #include "core/json_value.hh"
@@ -14,6 +15,7 @@
 #include "core/run_journal.hh"
 #include "core/run_stats.hh"
 #include "core/shard_queue.hh"
+#include "obs/json_escape.hh"
 #include "obs/span.hh"
 
 namespace axmemo {
@@ -33,20 +35,6 @@ printBanner(const std::string &title, const RuntimeOptions &runtime)
                 scale);
 }
 
-/** Structured error as a compact JSON object. */
-std::string
-errorJson(const Error &fault)
-{
-    std::string out = "{\"code\":\"";
-    out += errorCodeName(fault.code);
-    out += "\",\"component\":\"";
-    out += JsonWriter::escape(fault.component);
-    out += "\",\"message\":\"";
-    out += JsonWriter::escape(fault.message);
-    out += "\"}";
-    return out;
-}
-
 /** The per-row status/attempts suffix: empty for a clean first-attempt
  * success, so fully-successful runs keep their historical bytes. */
 std::string
@@ -57,7 +45,7 @@ statusFields(const SweepOutcome &outcome)
         out += ",\"status\":\"";
         out += jobStatusName(outcome.status);
         out += "\",\"error\":";
-        out += errorJson(outcome.fault);
+        out += errorToJson(outcome.fault);
     }
     if (outcome.attempts > 1)
         out += ",\"attempts\":" + std::to_string(outcome.attempts);
@@ -73,9 +61,9 @@ defaultRows(const std::vector<SweepJob> &jobs,
     rows.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         std::string row = "{\"workload\":\"";
-        row += JsonWriter::escape(jobs[i].workload);
+        row += jsonEscape(jobs[i].workload);
         row += "\",\"mode\":\"";
-        row += JsonWriter::escape(jobs[i].backend);
+        row += jsonEscape(jobs[i].backend);
         row += "\",\"scored\":";
         row += jobs[i].scored ? "true" : "false";
         row += ",\"config\":";
@@ -104,9 +92,9 @@ rowsDocument(const Artifact &artifact, const SweepEngine &engine,
              const std::vector<std::string> &rows)
 {
     std::string doc = "{\"artifact\":\"";
-    doc += JsonWriter::escape(artifact.name());
+    doc += jsonEscape(artifact.name());
     doc += "\",\"title\":\"";
-    doc += JsonWriter::escape(artifact.title());
+    doc += jsonEscape(artifact.title());
     doc += "\",\"scale\":";
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g",
@@ -133,7 +121,7 @@ manifestRun(const Artifact &artifact,
             double wallSeconds, const SweepMetrics &metrics)
 {
     std::string entry = "{\"artifact\":\"";
-    entry += JsonWriter::escape(artifact.name());
+    entry += jsonEscape(artifact.name());
     entry += "\",\"jobs\":";
     entry += std::to_string(jobs.size());
     char buf[40];
@@ -157,9 +145,9 @@ manifestRun(const Artifact &artifact,
         if (i)
             entry += ',';
         entry += "{\"workload\":\"";
-        entry += JsonWriter::escape(jobs[i].workload);
+        entry += jsonEscape(jobs[i].workload);
         entry += "\",\"mode\":\"";
-        entry += JsonWriter::escape(jobs[i].backend);
+        entry += jsonEscape(jobs[i].backend);
         entry += "\",\"scored\":";
         entry += jobs[i].scored ? "true" : "false";
         entry += ",\"config\":";
@@ -223,7 +211,7 @@ shardsDocument(const std::string &name,
                std::size_t damaged, const std::string &shardDir)
 {
     std::string doc = "{\"artifact\":\"";
-    doc += JsonWriter::escape(name);
+    doc += jsonEscape(name);
     doc += "\",\"damaged_segments\":";
     doc += std::to_string(damaged);
     doc += ",\"segments\":[";
@@ -231,12 +219,12 @@ shardsDocument(const std::string &name,
         if (i)
             doc += ',';
         doc += "{\"segment\":\"";
-        doc += JsonWriter::escape(baseName(segments[i].path));
+        doc += jsonEscape(baseName(segments[i].path));
         if (segments[i].ok) {
             doc += "\",\"status\":\"ok\"}";
         } else {
             doc += "\",\"status\":\"damaged\",\"error\":";
-            doc += errorJson(segments[i].fault);
+            doc += errorToJson(segments[i].fault);
             doc += '}';
         }
     }

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/json_export.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 
@@ -50,7 +50,7 @@ class Obj
     void
     field(const char *key, const std::string &v)
     {
-        raw(key, '"' + JsonWriter::escape(v) + '"');
+        raw(key, '"' + jsonEscape(v) + '"');
     }
     void
     raw(const char *key, const std::string &json)

@@ -9,9 +9,9 @@
 #include <dirent.h>
 
 #include "common/lease.hh"
-#include "core/json_export.hh"
 #include "core/json_value.hh"
 #include "core/output_paths.hh"
+#include "obs/json_escape.hh"
 #include "obs/telemetry.hh"
 
 namespace axmemo {
@@ -344,7 +344,7 @@ renderFleetJson(const FleetStatus &fleet)
                               static_cast<double>(fleet.jobsTotal)
                         : 0.0;
     std::string out = "{\"dir\":\"";
-    out += JsonWriter::escape(fleet.dir);
+    out += jsonEscape(fleet.dir);
     out += "\",\"lease_seconds\":";
     appendDouble(out, fleet.leaseSeconds);
     out += ",\"jobs_total\":" + std::to_string(fleet.jobsTotal);
@@ -366,7 +366,7 @@ renderFleetJson(const FleetStatus &fleet)
         if (i)
             out += ',';
         out += "{\"worker\":\"";
-        out += JsonWriter::escape(w.id);
+        out += jsonEscape(w.id);
         out += "\",\"state\":\"";
         out += workerStateName(w.state);
         out += "\",\"snapshot_age_s\":";
@@ -392,9 +392,9 @@ renderFleetJson(const FleetStatus &fleet)
         if (i)
             out += ',';
         out += "{\"key\":\"";
-        out += JsonWriter::escape(c.key);
+        out += jsonEscape(c.key);
         out += "\",\"worker\":\"";
-        out += JsonWriter::escape(c.worker);
+        out += jsonEscape(c.worker);
         out += "\",\"age_seconds\":";
         appendDouble(out, c.ageSeconds);
         out += '}';

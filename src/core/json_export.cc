@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/json_escape.hh"
+
 namespace axmemo {
 
 namespace {
@@ -46,7 +48,7 @@ class ObjectBuilder
     field(const char *key, const std::string &value)
     {
         sep();
-        os_ << '"' << key << "\":\"" << JsonWriter::escape(value)
+        os_ << '"' << key << "\":\"" << jsonEscape(value)
             << '"';
     }
 
@@ -78,31 +80,6 @@ class ObjectBuilder
 };
 
 } // namespace
-
-std::string
-JsonWriter::escape(const std::string &raw)
-{
-    std::string out;
-    out.reserve(raw.size());
-    for (char c : raw) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 JsonWriter::toJson(const RunResult &result)

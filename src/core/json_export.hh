@@ -24,9 +24,6 @@ class JsonWriter
     /** Serialize a comparison (baseline + subject + derived metrics). */
     static std::string toJson(const Comparison &cmp,
                               const std::string &workload);
-
-    /** Escape a string per RFC 8259. */
-    static std::string escape(const std::string &raw);
 };
 
 } // namespace axmemo

@@ -6,10 +6,10 @@
 #include <cstring>
 
 #include "core/config_io.hh"
-#include "core/json_export.hh"
 #include "core/json_value.hh"
 #include "core/memo_backends.hh"
 #include "core/output_paths.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 
@@ -38,14 +38,6 @@ appendInt(std::string &out, Int value)
     char buf[24];
     const auto r = std::to_chars(buf, buf + sizeof(buf), value);
     out.append(buf, r.ptr);
-}
-
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    out += JsonWriter::escape(s);
-    out += '"';
 }
 
 template <typename Buckets>
@@ -176,8 +168,9 @@ appendSimStats(std::string &out, const SimStats &s)
         if (!first)
             out += ',';
         first = false;
-        appendEscaped(out, name);
-        out += ':';
+        out += '"';
+        out += jsonEscape(name);
+        out += "\":";
         appendInt(out, value);
     }
     out += "}}";
@@ -188,9 +181,9 @@ appendSimStats(std::string &out, const SimStats &s)
 void
 appendRunResult(std::string &out, const RunResult &r, bool withOutputs)
 {
-    out += "{\"mode\":";
-    appendEscaped(out, r.backend);
-    out += ",\"lookups\":";
+    out += "{\"mode\":\"";
+    out += jsonEscape(r.backend);
+    out += "\",\"lookups\":";
     appendInt(out, r.lookups);
     out += ",\"hits\":";
     appendInt(out, r.hits);
@@ -550,9 +543,9 @@ SweepJournal::encodeLine(const std::string &key,
 {
     std::string out;
     out.reserve(16 * 1024); // typical line size; avoids regrowth churn
-    out += "{\"key\":";
-    appendEscaped(out, key);
-    out += ",\"seconds\":";
+    out += "{\"key\":\"";
+    out += jsonEscape(key);
+    out += "\",\"seconds\":";
     appendDouble(out, outcome.seconds);
     out += outcome.scored ? ",\"scored\":true" : ",\"scored\":false";
     out += ",\"run\":";

@@ -9,8 +9,8 @@
 #include "common/bits.hh"
 #include "common/lease.hh"
 #include "common/log.hh"
-#include "core/json_export.hh"
 #include "core/output_paths.hh"
+#include "obs/json_escape.hh"
 #include "obs/telemetry.hh"
 
 namespace axmemo {
@@ -104,9 +104,9 @@ std::string
 ShardQueue::leaseBody(const std::string &key) const
 {
     std::string body = "{\"key\":\"";
-    body += JsonWriter::escape(key);
+    body += jsonEscape(key);
     body += "\",\"worker\":\"";
-    body += JsonWriter::escape(workerId_);
+    body += jsonEscape(workerId_);
     body += "\"}\n";
     return body;
 }
@@ -164,9 +164,9 @@ ShardQueue::markDone(const std::string &key, bool ok)
 {
     AXM_SPAN("shard", "markDone");
     std::string body = "{\"key\":\"";
-    body += JsonWriter::escape(key);
+    body += jsonEscape(key);
     body += "\",\"worker\":\"";
-    body += JsonWriter::escape(workerId_);
+    body += jsonEscape(workerId_);
     body += ok ? "\",\"status\":\"ok\"}\n"
                : "\",\"status\":\"failed\"}\n";
     const Expected<void> wrote = atomicWriteFile(donePath(key), body);
@@ -212,7 +212,7 @@ ShardQueue::writeShardManifest(std::size_t jobs,
 {
     const ShardCounters c = counters();
     std::string doc = "{\"worker\":\"";
-    doc += JsonWriter::escape(workerId_);
+    doc += jsonEscape(workerId_);
     doc += "\",\"claimed\":" + std::to_string(c.claimed);
     doc += ",\"stolen\":" + std::to_string(c.stolen);
     doc += ",\"foreign\":" + std::to_string(c.foreign);

@@ -13,10 +13,10 @@
 #include "common/proc.hh"
 #include "common/run_control.hh"
 #include "core/config_io.hh"
-#include "core/json_export.hh"
 #include "core/output_paths.hh"
 #include "core/run_journal.hh"
 #include "core/shard_queue.hh"
+#include "obs/json_escape.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 
@@ -804,7 +804,7 @@ SweepEngine::writeReport(const std::string &label,
     std::ostringstream out;
     out.precision(9);
     out << "{\n"
-        << "  \"label\": \"" << JsonWriter::escape(label) << "\",\n"
+        << "  \"label\": \"" << jsonEscape(label) << "\",\n"
         << "  \"workers\": " << metrics_.workers << ",\n"
         << "  \"jobs\": " << metrics_.jobs << ",\n"
         << "  \"wall_seconds\": " << metrics_.wallSeconds << ",\n"

@@ -152,7 +152,8 @@ class SweepEngine
   public:
     /** @param workers pool size; 0 or 1 = serial (AXMEMO_JOBS default).
      * Retry/timeout/timing policy comes from RuntimeOptions::global(). */
-    explicit SweepEngine(unsigned workers = ThreadPool::jobsFromEnv());
+    explicit SweepEngine(
+        unsigned workers = RuntimeOptions::global().workerCount());
 
     /** Pool size and fault policy from @p options (the driver path). */
     explicit SweepEngine(const RuntimeOptions &options);

@@ -10,6 +10,8 @@
 
 #include <unistd.h>
 
+#include "obs/json_escape.hh"
+
 namespace axmemo {
 namespace telemetry {
 
@@ -49,28 +51,6 @@ void
 collectLocked(Store &s)
 {
     s.dropped += detail::drainAll(s.events);
-}
-
-void
-appendEscaped(std::string &out, const char *text)
-{
-    for (const char *p = text; *p; ++p) {
-        const unsigned char c = static_cast<unsigned char>(*p);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += static_cast<char>(c);
-            }
-        }
-    }
 }
 
 void
@@ -157,7 +137,7 @@ renderSnapshotLineLocked(Store &s)
     s.lastInsts = insts;
 
     std::string line = "{\"worker\":\"";
-    appendEscaped(line, s.workerId.c_str());
+    line += jsonEscape(s.workerId);
     line += "\",\"ts\":";
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%lld",
@@ -249,7 +229,7 @@ renderTimeline(const std::string &processLabel)
                   "\"tid\":0,\"args\":{\"name\":\"",
                   pid);
     out += buf;
-    appendEscaped(out, processLabel.c_str());
+    out += jsonEscape(processLabel);
     out += "\"}}";
 
     const std::map<std::string, int> tids = tidTable(s.events);
@@ -259,8 +239,8 @@ renderTimeline(const std::string &processLabel)
                       "\"pid\":%lld,\"tid\":%d,\"args\":{\"name\":\"",
                       pid, entry.second);
         out += buf;
-        appendEscaped(out,
-                      entry.first.empty() ? "main" : entry.first.c_str());
+        out += jsonEscape(entry.first.empty() ? "main"
+                                              : entry.first.c_str());
         out += "\"}}";
     }
 
@@ -272,7 +252,7 @@ renderTimeline(const std::string &processLabel)
                           "\"ts\":%" PRIu64 ",\"name\":\"",
                           pid, tid, event.startUs);
             out += buf;
-            appendEscaped(out, event.name);
+            out += jsonEscape(event.name);
             out += "\",\"args\":{\"value\":";
             appendDouble(out, event.value);
             out += "}}";
@@ -283,9 +263,9 @@ renderTimeline(const std::string &processLabel)
                       "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64 ",\"cat\":\"",
                       pid, tid, event.startUs, event.durUs);
         out += buf;
-        appendEscaped(out, event.category);
+        out += jsonEscape(event.category);
         out += "\",\"name\":\"";
-        appendEscaped(out, event.name);
+        out += jsonEscape(event.name);
         std::snprintf(buf, sizeof(buf),
                       "\",\"args\":{\"id\":%" PRIu64 ",\"parent\":%" PRIu64
                       "}}",

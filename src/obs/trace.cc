@@ -119,17 +119,6 @@ enableFlags(const std::string &spec, std::string *error)
 }
 
 void
-initFromEnv()
-{
-    const char *env = std::getenv("AXMEMO_DEBUG");
-    if (!env || !*env)
-        return;
-    std::string error;
-    if (!enableFlags(env, &error))
-        std::fprintf(stderr, "AXMEMO_DEBUG: %s\n", error.c_str());
-}
-
-void
 print(Flag flag, const char *component, const std::string &message)
 {
     (void)flag;

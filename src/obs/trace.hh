@@ -121,10 +121,6 @@ void clearAllFlags();
  */
 bool enableFlags(const std::string &spec, std::string *error = nullptr);
 
-/** Enable flags named in $AXMEMO_DEBUG, if set (malformed specs warn
- * on stderr and are ignored). Safe to call more than once. */
-void initFromEnv();
-
 /**
  * Set the simulated cycle stamped on subsequent trace lines from this
  * thread. Components without their own clock (caches, LUTs, DRAM)

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "core/json_export.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 namespace serve {
@@ -220,7 +220,7 @@ ReplayReport::toJson() const
         const ReplayTenantReport &t = tenants[i];
         if (i)
             out << ",";
-        out << "{\"name\":\"" << JsonWriter::escape(t.name)
+        out << "{\"name\":\"" << jsonEscape(t.name)
             << "\",\"lookups\":" << t.lookups << ",\"hits\":" << t.hits
             << ",\"misses\":" << t.misses
             << ",\"hit_rate\":" << t.hitRate()

@@ -15,8 +15,8 @@
 #include "common/log.hh"
 #include "common/run_control.hh"
 #include "core/experiment.hh"
-#include "core/json_export.hh"
 #include "core/output_paths.hh"
+#include "obs/json_escape.hh"
 #include "obs/span.hh"
 #include "workloads/workload.hh"
 
@@ -558,7 +558,7 @@ MemoServer::statsJson() const
             if (i)
                 out << ",";
             out << "\""
-                << JsonWriter::escape(
+                << jsonEscape(
                        table_.spec(static_cast<std::uint16_t>(i)).name)
                 << "\":{\"samples\":" << d.count();
             if (config_.reportTiming)

@@ -3,9 +3,9 @@
 #include <sstream>
 
 #include "common/expected.hh"
-#include "core/json_export.hh"
 #include "crc/hw_model.hh"
 #include "memo/memo_unit.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 namespace serve {
@@ -169,7 +169,7 @@ TenantTable::statsJson() const
         const TenantStats &stats = stats_[i];
         if (i)
             out << ",";
-        out << "{\"name\":\"" << JsonWriter::escape(tenants_[i].name)
+        out << "{\"name\":\"" << jsonEscape(tenants_[i].name)
             << "\",\"quota_entries\":" << tenants_[i].quotaEntries
             << ",\"lookups\":" << stats.lookups
             << ",\"hits\":" << stats.hits

@@ -4,7 +4,8 @@
 # to the checked-in goldens (tests/golden/*_scale0.02.out, recorded from
 # the per-figure harness binaries the driver replaced), serial and
 # parallel. Any drift in banner, table layout or number formatting fails
-# the diff. Also checks that a malformed numeric flag is a usage error.
+# the diff. Also checks that a malformed value, from a flag or from the
+# environment, is a usage error.
 #
 # usage: artifact_driver_identity.sh <axmemo>
 set -eu
@@ -39,16 +40,35 @@ for artifact in fig9 atm_comparison; do
     echo "$artifact stdout matches its golden (serial and parallel)"
 done
 
-# A numeric flag takes its env twin's parse rule, but a malformed value
-# is a usage error (exit 2 naming the flag), not a silent wrap: -1
-# retries used to become 4294967295.
-set +e
-"$driver" run fig9 --retries -1 >/dev/null 2>"$workdir/retries.err"
-code=$?
-set -e
-if [ "$code" -ne 2 ] || ! grep -q -- "--retries" "$workdir/retries.err"; then
-    echo "--retries -1 exited $code, want 2 naming the flag:" >&2
-    cat "$workdir/retries.err" >&2
-    exit 1
-fi
-echo "--retries -1 rejected with exit 2"
+# A flag and its variable share one parse rule, and the driver rejects
+# a malformed value from either the same way: exit 2 naming the flag or
+# variable and what the rule wants, not a silent wrap (-1 retries used
+# to become 4294967295) or a silently kept default.
+rejects() { # <name> <want> <command...>
+    local name="$1" want="$2"
+    shift 2
+    set +e
+    "$@" >/dev/null 2>"$workdir/rejected.err"
+    local code=$?
+    set -e
+    if [ "$code" -ne 2 ] ||
+        ! grep -q -- "^$name wants $want" "$workdir/rejected.err"; then
+        echo "malformed $name exited $code, want 2 and" \
+             "'$name wants $want':" >&2
+        cat "$workdir/rejected.err" >&2
+        exit 1
+    fi
+    echo "malformed $name rejected with exit 2"
+}
+rejects --retries "an integer in \[0, 64\]" "$driver" run fig9 --retries -1
+rejects AXMEMO_RETRIES "an integer in \[0, 64\]" \
+    env AXMEMO_RETRIES=-1 "$driver" run fig9
+rejects AXMEMO_SCALE "a positive number" \
+    env AXMEMO_SCALE=abc "$driver" run fig9
+rejects AXMEMO_DEBUG "flags from" env AXMEMO_DEBUG=Bogus "$driver" run fig9
+
+# "0" stays the accepted spelling of a switch's default.
+AXMEMO_NO_BATCH=0 "$driver" run fig9 --out "$workdir/nobatch0" \
+    >"$workdir/nobatch0.stdout" 2>/dev/null
+cmp -s "$golden/fig9_scale0.02.out" "$workdir/nobatch0.stdout"
+echo "AXMEMO_NO_BATCH=0 runs and matches the golden"

@@ -658,9 +658,10 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
 {
     // Snapshot and clear the knobs this test touches.
     const char *const knobs[] = {
-        "AXMEMO_JOBS",        "AXMEMO_SCALE",  "AXMEMO_FULL",
-        "AXMEMO_RETRIES",     "AXMEMO_TIMING", "AXMEMO_JOB_TIMEOUT",
-        "AXMEMO_FAULT_INJECT", "AXMEMO_LEASE"};
+        "AXMEMO_JOBS",         "AXMEMO_SCALE",         "AXMEMO_FULL",
+        "AXMEMO_RETRIES",      "AXMEMO_TIMING",        "AXMEMO_JOB_TIMEOUT",
+        "AXMEMO_FAULT_INJECT", "AXMEMO_LEASE",         "AXMEMO_SERVE_TENANTS",
+        "AXMEMO_SERVE_QUEUE",  "AXMEMO_SERVE_LUT"};
     std::vector<std::string> saved; // empty == was unset (or empty)
     for (const char *knob : knobs) {
         const char *value = std::getenv(knob);
@@ -724,6 +725,27 @@ TEST(RuntimeOptions, FromEnvParsesEveryKnobDefensively)
     EXPECT_EQ(rejected.retries, 1u);
     EXPECT_FALSE(rejected.scaleSet);
     EXPECT_DOUBLE_EQ(rejected.leaseSeconds, 30.0);
+
+    // A timing switch other than 0/1, and zero serve tenants, queue
+    // depth or LUT bytes, warn and keep the default too.
+    setenv("AXMEMO_TIMING", "off", 1);
+    setenv("AXMEMO_SERVE_TENANTS", "0", 1);
+    setenv("AXMEMO_SERVE_QUEUE", "0", 1);
+    setenv("AXMEMO_SERVE_LUT", "0", 1);
+    testing::internal::CaptureStderr();
+    const RuntimeOptions zeroes = RuntimeOptions::fromEnv();
+    const std::string zeroWarnings = testing::internal::GetCapturedStderr();
+    for (const char *expected :
+         {"AXMEMO_TIMING='off' (want 0 or 1)",
+          "AXMEMO_SERVE_TENANTS='0' (want at least 1)",
+          "AXMEMO_SERVE_QUEUE='0' (want at least 1)",
+          "AXMEMO_SERVE_LUT='0' (want at least 1)"})
+        EXPECT_NE(zeroWarnings.find(expected), std::string::npos)
+            << expected << "\n" << zeroWarnings;
+    EXPECT_TRUE(zeroes.reportTiming);
+    EXPECT_EQ(zeroes.serveTenants, 2u);
+    EXPECT_EQ(zeroes.serveQueue, 1024u);
+    EXPECT_EQ(zeroes.serveLutBytes, 64u * 1024);
 
     for (std::size_t i = 0; i < saved.size(); ++i) {
         if (saved[i].empty())
@@ -808,23 +830,99 @@ TEST(KnobParsers, U64WantsDigitsWithoutOverflow)
     EXPECT_EQ(parseU64("-1").error().message, "a non-negative integer");
 }
 
-TEST(RuntimeOptions, DescribeKnobsMentionsEveryKnob)
+/** Occurrences of @p name in @p text as a whole word: after a blank
+ * and before a blank or a line end ("--out" is not in "--trace-out"). */
+std::size_t
+countWord(const std::string &text, const std::string &name)
 {
-    const std::string table = RuntimeOptions::describeKnobs();
-    for (const char *knob :
-         {"AXMEMO_JOBS", "AXMEMO_SCALE", "AXMEMO_FULL",
-          "AXMEMO_SWEEP_DIR", "AXMEMO_DEBUG", "AXMEMO_RETRIES",
-          "AXMEMO_JOB_TIMEOUT", "AXMEMO_TIMING",
-          "AXMEMO_FAULT_INJECT", "AXMEMO_NO_BATCH", "AXMEMO_NO_SIMD"})
-        EXPECT_NE(table.find(knob), std::string::npos) << knob;
-    for (const char *flag :
-         {"--jobs", "--scale", "--full", "--out", "--debug-flags",
-          "--retries", "--job-timeout", "--no-timing",
-          "--fault-inject", "--no-batch", "--no-simd"})
-        EXPECT_NE(table.find(flag), std::string::npos) << flag;
+    std::size_t count = 0;
+    for (std::size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name, at + 1)) {
+        const std::size_t end = at + name.size();
+        if (at > 0 && text[at - 1] == ' ' &&
+            (end == text.size() || text[end] == ' ' || text[end] == '\n'))
+            ++count;
+    }
+    return count;
+}
+
+TEST(RuntimeOptions, KnobTableDeclaresEveryKnobOnce)
+{
+    // Walk the table against an environment with no knob set.
+    std::vector<std::pair<std::string, std::string>> saved;
+    for (const Knob &knob : knobTable()) {
+        if (const char *value = std::getenv(knob.env))
+            saved.emplace_back(knob.env, value);
+        unsetenv(knob.env);
+    }
+    const RuntimeOptions defaults;
+    EXPECT_EQ(RuntimeOptions::fromEnv(), defaults);
+
+    std::set<std::string> envs, flags;
+    std::string listing;
+    for (const Knob &knob : knobTable()) {
+        SCOPED_TRACE(knob.env);
+        EXPECT_TRUE(envs.insert(knob.env).second) << "duplicate variable";
+        EXPECT_TRUE(flags.insert(knob.flag).second) << "duplicate flag";
+        listing += optionHelpLine(knob);
+
+        // A sample the rule accepts: "1", or else the documented default
+        // (a choice's default is one of its names). Set as the variable,
+        // it must give the defaults with the row applied.
+        RuntimeOptions applied = defaults;
+        const char *sample = "1";
+        if (!knob.rule(applied, sample).ok())
+            sample = knob.defaultText;
+        applied = defaults;
+        EXPECT_TRUE(knob.rule(applied, sample).ok()) << sample;
+        setenv(knob.env, sample, 1);
+        EXPECT_EQ(RuntimeOptions::fromEnv(), applied) << sample;
+
+        // A bad value: every rule but free text rejects it and writes
+        // nothing; fromEnv() warns with the same "want" text the rule
+        // gives a flag, and keeps the defaults.
+        RuntimeOptions bad = defaults;
+        const Expected<void> rejected = knob.rule(bad, "bogus");
+        setenv(knob.env, "bogus", 1);
+        testing::internal::CaptureStderr();
+        const RuntimeOptions fromBad = RuntimeOptions::fromEnv();
+        const std::string warning = testing::internal::GetCapturedStderr();
+        unsetenv(knob.env);
+        if (rejected.ok()) {
+            EXPECT_NE(bad, defaults) << "free text must be stored";
+            EXPECT_EQ(fromBad, bad);
+            EXPECT_EQ(warning, "");
+            continue;
+        }
+        EXPECT_EQ(bad, defaults);
+        EXPECT_EQ(fromBad, defaults);
+        EXPECT_NE(warning.find(std::string(knob.env) + "='bogus' (want " +
+                               rejected.error().message + ")"),
+                  std::string::npos)
+            << warning;
+
+        // A switch's bare flag is its "0" or its "1", whichever is not
+        // the default.
+        if (!knob.valueName) {
+            RuntimeOptions flag = defaults, zero = defaults, one = defaults;
+            EXPECT_TRUE(knob.rule(flag, nullptr).ok());
+            EXPECT_TRUE(knob.rule(zero, "0").ok());
+            EXPECT_TRUE(knob.rule(one, "1").ok());
+            EXPECT_NE(flag, defaults);
+            EXPECT_TRUE(flag == zero || flag == one);
+        }
+    }
+
+    for (const std::string &env : envs)
+        EXPECT_EQ(countWord(listing, env), 1u) << env << "\n" << listing;
+    for (const std::string &flag : flags)
+        EXPECT_EQ(countWord(listing, flag), 1u) << flag << "\n" << listing;
     // The dispatch form is a build property, not a knob.
-    EXPECT_EQ(table.find("DISPATCH"), std::string::npos);
-    EXPECT_EQ(table.find("--dispatch"), std::string::npos);
+    EXPECT_EQ(listing.find("DISPATCH"), std::string::npos);
+    EXPECT_EQ(listing.find("--dispatch"), std::string::npos);
+
+    for (const auto &[name, value] : saved)
+        setenv(name.c_str(), value.c_str(), 1);
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include "core/json_export.hh"
 #include "core/json_value.hh"
+#include "obs/json_escape.hh"
 
 namespace axmemo {
 namespace {
@@ -43,11 +44,11 @@ balanced(const std::string &json)
 
 TEST(Json, EscapeSpecials)
 {
-    EXPECT_EQ(JsonWriter::escape("a\"b"), "a\\\"b");
-    EXPECT_EQ(JsonWriter::escape("a\\b"), "a\\\\b");
-    EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
-    EXPECT_EQ(JsonWriter::escape(std::string(1, '\x01')), "\\u0001");
-    EXPECT_EQ(JsonWriter::escape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("line\nbreak"), "line\\nbreak");
+    EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
 }
 
 TEST(Json, DeepNestingIsAParseErrorNotACrash)

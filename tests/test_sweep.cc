@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/runtime_options.hh"
 #include "common/thread_pool.hh"
 #include "core/sweep.hh"
 
@@ -199,14 +200,14 @@ TEST(ThreadPool, JobsFromEnvParsesDefensively)
     const std::string saved = old ? old : "";
 
     setenv("AXMEMO_JOBS", "3", 1);
-    EXPECT_EQ(ThreadPool::jobsFromEnv(), 3u);
+    EXPECT_EQ(RuntimeOptions::global().workerCount(), 3u);
     setenv("AXMEMO_JOBS", "1", 1);
-    EXPECT_EQ(ThreadPool::jobsFromEnv(), 1u);
+    EXPECT_EQ(RuntimeOptions::global().workerCount(), 1u);
 
     // Malformed or out-of-range values fall back, never crash.
     for (const char *bad : {"abc", "3x", "", "-2", "0", "99999"}) {
         setenv("AXMEMO_JOBS", bad, 1);
-        EXPECT_GE(ThreadPool::jobsFromEnv(), 1u) << bad;
+        EXPECT_GE(RuntimeOptions::global().workerCount(), 1u) << bad;
     }
 
     if (old)

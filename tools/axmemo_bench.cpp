@@ -3,9 +3,9 @@
  * The unified paper-artifact driver, dispatched through the
  * table-driven command-line layer (tools/cli.hh). Every subcommand is
  * one SubcommandRegistry row — `axmemo help` and `axmemo help <cmd>`
- * are generated from the table, and every command parses the one
- * shared flag table, so `--out/--jobs/--scale/--json` behave
- * identically everywhere.
+ * are generated from the table, and every command parses the same
+ * option rows, so `--out/--jobs/--scale/--json` behave identically
+ * everywhere.
  *
  *   axmemo list                        catalog of registered artifacts
  *   axmemo run fig9                    one artifact, legacy-identical
@@ -23,8 +23,8 @@
  * Fault tolerance (--resume/--retries/--job-timeout/--isolate), shard
  * fleets (--shard-dir/--workers/--worker-id/--lease), observability
  * (--debug-flags/--trace-out/--trace-timeline) and the host data-path
- * knobs (--no-batch/--no-simd) are documented in the flag table, the
- * runtime-knob table (`axmemo help`), and DESIGN.md §§8-14.
+ * knobs (--no-batch/--no-simd) are documented in the option listing
+ * (`axmemo help`) and DESIGN.md §§8-14.
  *
  * Besides stdout, each run emits <name>_sweep.json (host-side sweep
  * performance), <name>.json (result rows) and <name>_stats.txt (one

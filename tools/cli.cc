@@ -1,7 +1,7 @@
 #include "tools/cli.hh"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/interrupt.hh"
@@ -15,223 +15,139 @@ namespace cli {
 
 namespace {
 
-bool
-fail(std::string *error, std::string message)
+const DriverFlag driverRows[] = {
+    {nullptr, "--json", nullptr, nullptr, "machine-readable stdout",
+     +[](CommonArgs &a, const char *) -> Expected<void> {
+         a.json = true;
+         return {};
+     }},
+    {nullptr, "--resume", nullptr, nullptr,
+     "replay checkpoint journals (run/profile)",
+     +[](CommonArgs &a, const char *) -> Expected<void> {
+         a.resume = true;
+         return {};
+     }},
+    {nullptr, "--workers", "<n>", nullptr,
+     "run: fork <n> local shard workers, then merge",
+     +[](CommonArgs &a, const char *v) -> Expected<void> {
+         const Expected<unsigned> n =
+             parseUnsigned(v, RuntimeOptions::maxJobs);
+         if (!n.ok())
+             return n.error();
+         a.fanout = n.value();
+         return {};
+     }},
+    {nullptr, "--watch", "<s>", nullptr,
+     "status: re-render every <s> seconds",
+     +[](CommonArgs &a, const char *v) -> Expected<void> {
+         const Expected<double> seconds = parsePositiveDouble(v);
+         if (!seconds.ok())
+             return seconds.error();
+         a.watchSeconds = seconds.value();
+         return {};
+     }},
+    {"AXMEMO_DEBUG", "--debug-flags", "<spec>", "off",
+     "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Host|All",
+     +[](CommonArgs &, const char *v) -> Expected<void> {
+         if (!trace::enableFlags(v))
+             return Error{ErrorCode::Config, "cli",
+                          "flags from Exec, Memo, Cache, Dram, Lut, "
+                          "Sweep, Host, All"};
+         return {};
+     }},
+    {nullptr, "--trace-out", "<file>", nullptr,
+     "write trace lines to <file>",
+     +[](CommonArgs &a, const char *v) -> Expected<void> {
+         a.traceOut = v;
+         return {};
+     }},
+    {nullptr, "--drain", nullptr, nullptr,
+     "replay: send a Drain after the trace",
+     +[](CommonArgs &a, const char *) -> Expected<void> {
+         a.drain = true;
+         return {};
+     }},
+};
+
+/** Apply @p text, set through @p source (a flag or a variable), with
+ * @p row's rule; a rejection names the source and what the rule
+ * wants. */
+template <typename Target>
+Expected<void>
+apply(const OptionRow<Target> &row, Target &target, const char *source,
+      const char *text)
 {
-    *error = std::move(message);
-    return false;
+    const Expected<void> applied = row.rule(target, text);
+    if (applied.ok())
+        return applied;
+    return Error{ErrorCode::Config, "cli",
+                 std::string(source) + " wants " +
+                     applied.error().message + " (got '" +
+                     (text ? text : "") + "')"};
 }
 
-/** Store @p parsed in @p out, or fail naming @p flag, the knob's parse
- * rule and the rejected @p value. */
-template <typename T>
-bool
-take(const Expected<T> &parsed, T &out, const char *flag,
-     const char *value, std::string *error)
+/** Apply every row of @p rows whose variable is set and not empty. */
+template <typename Target>
+Expected<void>
+applyEnv(std::span<const OptionRow<Target>> rows, Target &target)
 {
-    if (!parsed.ok())
-        return fail(error, std::string(flag) + " wants " +
-                               parsed.error().message + " (got '" +
-                               value + "')");
-    out = parsed.value();
-    return true;
+    for (const OptionRow<Target> &row : rows) {
+        const char *text = row.env ? std::getenv(row.env) : nullptr;
+        if (!text || !*text)
+            continue;
+        const Expected<void> applied = apply(row, target, row.env, text);
+        if (!applied.ok())
+            return applied;
+    }
+    return {};
 }
 
-/** take() for a knob whose rule also excludes 0. */
-template <typename T>
-bool
-takePositive(const Expected<T> &parsed, T &out, const char *flag,
-             const char *value, std::string *error)
+template <typename Target>
+const OptionRow<Target> *
+findFlag(std::span<const OptionRow<Target>> rows, const std::string &name)
 {
-    if (parsed.ok() && parsed.value() == 0)
-        return fail(error, std::string(flag) + " wants at least 1 (got '" +
-                               value + "')");
-    return take(parsed, out, flag, value, error);
+    for (const OptionRow<Target> &row : rows)
+        if (name == row.flag)
+            return &row;
+    return nullptr;
+}
+
+/** Apply argv[@p i], the flag of @p row, to @p target; its value comes
+ * after the '=' at @p eq, or is the next argument. */
+template <typename Target>
+Expected<void>
+applyFlag(const OptionRow<Target> &row, Target &target, int argc,
+          char **argv, int &i, std::size_t eq)
+{
+    const std::string name = row.flag;
+    const char *value = nullptr;
+    if (row.valueName) {
+        if (eq != std::string::npos)
+            value = argv[i] + eq + 1;
+        else if (i + 1 < argc)
+            value = argv[++i];
+        else
+            return Error{ErrorCode::Config, "cli",
+                         "option " + name + " needs a value " +
+                             row.valueName};
+    } else if (eq != std::string::npos) {
+        return Error{ErrorCode::Config, "cli",
+                     "option " + name + " takes no value"};
+    }
+    return apply(row, target, row.flag, value);
 }
 
 } // namespace
 
-const std::vector<FlagSpec> &
-flagTable()
+std::span<const DriverFlag>
+driverFlags()
 {
-    // One row per option; RuntimeOptions::describeKnobs() documents the
-    // knob-backed ones in detail, so help lines here stay short.
-    static const std::vector<FlagSpec> table = {
-        {"--scale", "<f>", "dataset scale factor",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             if (!take(parsePositiveDouble(v), a.runtime.scale,
-                       "--scale", v, error))
-                 return false;
-             a.runtime.scaleSet = true;
-             return true;
-         }},
-        {"--full", nullptr, "paper-size inputs (scale 1.0)",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.full = true;
-             return true;
-         }},
-        {"--jobs", "<n>", "sweep worker count",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseUnsigned(v, RuntimeOptions::maxJobs),
-                         a.runtime.jobs, "--jobs", v, error);
-         }},
-        {"--out", "<dir>", "output directory for emitted files",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.outDir = v;
-             return true;
-         }},
-        {"--json", nullptr, "machine-readable stdout",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.json = true;
-             return true;
-         }},
-        {"--resume", nullptr, "replay checkpoint journals (run/profile)",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.resume = true;
-             return true;
-         }},
-        {"--retries", "<n>", "per-job retries after a failure",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseUnsigned(v, RuntimeOptions::maxRetries),
-                         a.runtime.retries, "--retries", v, error);
-         }},
-        {"--job-timeout", "<s>", "per-job watchdog seconds",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parsePositiveDouble(v),
-                         a.runtime.jobTimeoutSeconds, "--job-timeout", v,
-                         error);
-         }},
-        {"--no-timing", nullptr,
-         "zero host-timing fields (byte-comparable reports)",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.reportTiming = false;
-             return true;
-         }},
-        {"--fault-inject", "<w[:n]>", "test hook: fail matching jobs",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.faultInject = v;
-             return true;
-         }},
-        {"--isolate", nullptr, "fork every simulated job into a child",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.isolate = true;
-             return true;
-         }},
-        {"--no-batch", nullptr, "disable basic-block macro-op batching",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.blockBatch = false;
-             return true;
-         }},
-        {"--no-simd", nullptr, "disable the SIMD CRC kernels",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.runtime.simd = false;
-             return true;
-         }},
-        {"--shard-dir", "<dir>", "shared work-queue directory",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.shardDir = v;
-             return true;
-         }},
-        {"--worker-id", "<s>", "shard worker identity",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.workerId = v;
-             return true;
-         }},
-        {"--lease", "<s>", "shard claim lease window seconds",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parsePositiveDouble(v), a.runtime.leaseSeconds,
-                         "--lease", v, error);
-         }},
-        {"--workers", "<n>", "fork <n> local shard workers, then merge",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseUnsigned(v, RuntimeOptions::maxJobs),
-                         a.fanout, "--workers", v, error);
-         }},
-        {"--watch", "<s>", "status: re-render every <s> seconds",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parsePositiveDouble(v), a.watchSeconds,
-                         "--watch", v, error);
-         }},
-        {"--debug-flags", "<spec>",
-         "trace flags: Exec,Memo,Cache,Dram,Lut,Sweep,Host|All",
-         +[](CommonArgs &, const char *v, std::string *error) {
-             std::string why;
-             if (!trace::enableFlags(v, &why))
-                 return fail(error, "--debug-flags: " + why);
-             return true;
-         }},
-        {"--trace-out", "<file>", "write trace lines to <file>",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.traceOut = v;
-             return true;
-         }},
-        {"--trace-timeline", "<file>",
-         "write a Chrome-trace/Perfetto span timeline",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.timeline = v;
-             return true;
-         }},
-        {"--socket", "<path>", "serve/replay: AF_UNIX socket path",
-         +[](CommonArgs &a, const char *v, std::string *) {
-             a.runtime.serveSocket = v;
-             return true;
-         }},
-        {"--policy", "<p>", "serve: tenant policy partitioned|shared",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             if (std::strcmp(v, "partitioned") != 0 &&
-                 std::strcmp(v, "shared") != 0)
-                 return fail(error,
-                             std::string("--policy wants partitioned "
-                                         "or shared (got '") +
-                                 v + "')");
-             a.runtime.servePolicy = v;
-             return true;
-         }},
-        {"--tenants", "<n>", "serve: tenants to provision",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return takePositive(
-                 parseUnsigned(v, RuntimeOptions::maxServeTenants),
-                 a.runtime.serveTenants, "--tenants", v, error);
-         }},
-        {"--quota", "<n>", "serve: per-tenant LUT entry quota (0 = off)",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseU64(v), a.runtime.serveQuota, "--quota", v,
-                         error);
-         }},
-        {"--lut-bytes", "<n>", "serve: physical LUT size in bytes",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return takePositive(parseU64(v), a.runtime.serveLutBytes,
-                                 "--lut-bytes", v, error);
-         }},
-        {"--queue", "<n>", "serve: bounded Run-queue depth",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return takePositive(
-                 parseUnsigned(v, RuntimeOptions::maxServeQueue),
-                 a.runtime.serveQueue, "--queue", v, error);
-         }},
-        {"--seed", "<n>", "replay: request-trace generator seed",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseU64(v), a.runtime.traceSeed, "--seed", v,
-                         error);
-         }},
-        {"--requests", "<n>", "replay: requests to generate (0 = default)",
-         +[](CommonArgs &a, const char *v, std::string *error) {
-             return take(parseU64(v), a.runtime.traceRequests,
-                         "--requests", v, error);
-         }},
-        {"--drain", nullptr, "replay: send a Drain after the trace",
-         +[](CommonArgs &a, const char *, std::string *) {
-             a.drain = true;
-             return true;
-         }},
-    };
-    return table;
+    return driverRows;
 }
 
 Expected<void>
 parseArgs(int argc, char **argv, int start, CommonArgs &args)
 {
-    const std::vector<FlagSpec> &table = flagTable();
     for (int i = start; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.size() < 2 || arg[0] != '-') {
@@ -242,43 +158,25 @@ parseArgs(int argc, char **argv, int start, CommonArgs &args)
         // "--flag=value" and "--flag value" both work for every flag.
         const std::size_t eq = arg.find('=');
         const std::string name = arg.substr(0, eq);
-        const FlagSpec *spec = nullptr;
-        for (const FlagSpec &candidate : table)
-            if (name == candidate.name) {
-                spec = &candidate;
-                break;
-            }
-        if (!spec) {
+        Expected<void> applied;
+        if (const Knob *knob = findFlag(knobTable(), name)) {
+            applied = applyFlag(*knob, args.runtime, argc, argv, i, eq);
+        } else if (const DriverFlag *row = findFlag(driverFlags(), name)) {
+            applied = applyFlag(*row, args, argc, argv, i, eq);
+        } else {
             std::string message = "unknown option '" + name + "'";
             std::vector<std::string> names;
-            names.reserve(table.size());
-            for (const FlagSpec &candidate : table)
-                names.push_back(candidate.name);
+            for (const Knob &knob : knobTable())
+                names.push_back(knob.flag);
+            for (const DriverFlag &row : driverFlags())
+                names.push_back(row.flag);
             const std::string best = suggestClosest(name, names);
             if (!best.empty())
                 message += " (did you mean '" + best + "'?)";
             return Error{ErrorCode::Config, "cli", message};
         }
-
-        const char *value = nullptr;
-        if (spec->valueName) {
-            if (eq != std::string::npos) {
-                value = argv[i] + eq + 1;
-            } else if (i + 1 < argc) {
-                value = argv[++i];
-            } else {
-                return Error{ErrorCode::Config, "cli",
-                             "option " + name + " needs a value " +
-                                 spec->valueName};
-            }
-        } else if (eq != std::string::npos) {
-            return Error{ErrorCode::Config, "cli",
-                         "option " + name + " takes no value"};
-        }
-
-        std::string error;
-        if (!spec->apply(args, value, &error))
-            return Error{ErrorCode::Config, "cli", error};
+        if (!applied.ok())
+            return applied;
     }
     return {};
 }
@@ -322,17 +220,14 @@ renderUsage(const SubcommandRegistry &registry)
     out << "  axmemo help [<command>]\n      this catalog, or one "
            "command's full page\n";
     out << "\noptions (shared by every command; `axmemo help <cmd>` "
-           "lists what applies):\n";
-    for (const FlagSpec &flag : flagTable()) {
-        std::string head = flag.name;
-        if (flag.valueName)
-            head += std::string(" ") + flag.valueName;
-        out << "  " << head;
-        if (head.size() < 22)
-            out << std::string(22 - head.size(), ' ');
-        out << " " << flag.help << "\n";
-    }
-    out << "\n" << RuntimeOptions::describeKnobs();
+           "lists what applies).\nAn AXMEMO_* variable sets an option "
+           "from the environment and its flag\noverrides it; a "
+           "switch's variable takes 0 or 1, its flag the value that\n"
+           "is not the default:\n";
+    for (const Knob &knob : knobTable())
+        out << optionHelpLine(knob);
+    for (const DriverFlag &row : driverFlags())
+        out << optionHelpLine(row);
     return out.str();
 }
 
@@ -385,9 +280,14 @@ dispatch(int argc, char **argv, const SubcommandRegistry &registry)
         return 2;
     }
 
+    // The environment first, then the command line on top; both read
+    // the same rows, so a malformed value is a usage error either way.
     CommonArgs args;
-    args.runtime = RuntimeOptions::fromEnv();
-    const Expected<void> parsed = parseArgs(argc, argv, 2, args);
+    Expected<void> parsed = applyEnv(knobTable(), args.runtime);
+    if (parsed.ok())
+        parsed = applyEnv(driverFlags(), args);
+    if (parsed.ok())
+        parsed = parseArgs(argc, argv, 2, args);
     if (!parsed.ok()) {
         std::fprintf(stderr, "%s\n", parsed.error().message.c_str());
         return 2;
@@ -398,7 +298,6 @@ dispatch(int argc, char **argv, const SubcommandRegistry &registry)
     RuntimeOptions::setGlobal(args.runtime);
     installSignalHandlers();
 
-    trace::initFromEnv();
     if (!args.traceOut.empty() &&
         !trace::openTraceFile(args.traceOut)) {
         std::fprintf(stderr, "cannot open trace file '%s'\n",

@@ -2,32 +2,41 @@
  * @file
  * Table-driven command-line layer of the `axmemo` driver.
  *
- * The driver used to be one 200-line hand-rolled argument loop: every
- * subcommand a bool, every flag an `else if`, the usage text maintained
- * by hand, and a typo answered with a bare "unknown option". This layer
- * replaces it with two tables:
+ * The driver reads its options from two tables of option rows
+ * (common/runtime_options.hh): flag, environment variable, value
+ * placeholder, default and help text, and one parse rule.
  *
- *  - **The flag table** (flagTable()): one FlagSpec per option — name,
- *    value placeholder, help line, and an apply function writing into
- *    CommonArgs (mostly its RuntimeOptions). Every subcommand parses
- *    from the same table, so `--out/--jobs/--scale/--json` behave
- *    identically everywhere and a new knob is one table row, not four
- *    scattered `else if`s. `--flag value` and `--flag=value` both work.
+ *  - **The knob table** (knobTable()) declares every RuntimeOptions
+ *    knob. The driver reads it twice: an environment pass, then the
+ *    command line on top, so a flag overrides its variable.
+ *  - **The driver rows** (driverFlags()) are the seven options that
+ *    fill CommonArgs instead: `--json`, `--resume`, `--workers`,
+ *    `--watch`, `--debug-flags` (whose variable, AXMEMO_DEBUG, is read
+ *    in the same environment pass), `--trace-out` and `--drain`.
  *
- *  - **The subcommand table** (SubcommandRegistry): name, one-line
- *    summary, synopsis and a details body per command. `axmemo help`
- *    and `axmemo help <cmd>` are generated from it, and dispatch()
- *    resolves the command word through it.
+ * Every subcommand parses from the same rows, so `--out/--jobs/--scale/
+ * --json` behave identically everywhere, `axmemo help` renders one
+ * listing from both tables, and a new knob is one table row.
+ * `--flag value` and `--flag=value` both work. A value a row's rule
+ * rejects, from a flag or from the environment, is a usage error
+ * naming its source and the rule: "AXMEMO_SCALE wants a positive
+ * number (got 'abc')".
+ *
+ * **The subcommand table** (SubcommandRegistry) holds name, one-line
+ * summary, synopsis and a details body per command. `axmemo help` and
+ * `axmemo help <cmd>` are generated from it, and dispatch() resolves
+ * the command word through it.
  *
  * Misspellings of either kind get the same structured treatment as the
  * memo-backend registry (memo/backend.hh): an ErrorCode::Config error
- * naming the input plus a Levenshtein did-you-mean suggestion. Exit
- * code 2 for usage errors is preserved from the hand-rolled parser.
+ * naming the input plus a Levenshtein did-you-mean suggestion. Usage
+ * errors exit 2.
  */
 
 #ifndef AXMEMO_TOOLS_CLI_HH
 #define AXMEMO_TOOLS_CLI_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,26 +64,17 @@ struct CommonArgs
     unsigned fanout = 0;       ///< --workers (run)
 };
 
-/** One command-line option. */
-struct FlagSpec
-{
-    const char *name;      ///< "--scale"
-    const char *valueName; ///< "<f>"; nullptr = boolean flag
-    const char *help;      ///< one-line description
-    /** Apply the flag to @p args; @p value is null for boolean flags.
-     * @return false with @p *error set on a malformed value. */
-    bool (*apply)(CommonArgs &args, const char *value,
-                  std::string *error);
-};
+/** A driver-only option: a row that fills CommonArgs. */
+using DriverFlag = OptionRow<CommonArgs>;
 
-/** The one flag table every subcommand parses from. */
-const std::vector<FlagSpec> &flagTable();
+/** The seven driver-only rows; see file comment. */
+std::span<const DriverFlag> driverFlags();
 
 /**
- * Parse argv[@p start ..) against the flag table; positional
- * arguments land in @p args.positional. Unknown flags and malformed
- * values produce an ErrorCode::Config error — unknown flags with the
- * registry-style did-you-mean suggestion.
+ * Parse argv[@p start ..) against the knob table, then the driver
+ * rows; positional arguments land in @p args.positional. Unknown flags
+ * and malformed values produce an ErrorCode::Config error — unknown
+ * flags with the registry-style did-you-mean suggestion.
  */
 Expected<void> parseArgs(int argc, char **argv, int start,
                          CommonArgs &args);
@@ -105,16 +105,16 @@ class SubcommandRegistry
 };
 
 /** The generated `axmemo help` catalog: synopsis per subcommand, then
- * the flag table, then the runtime-knob table. */
+ * one option listing rendered from both tables. */
 std::string renderUsage(const SubcommandRegistry &registry);
 
 /** The generated `axmemo help <cmd>` page. */
 std::string renderHelp(const Subcommand &command);
 
 /**
- * Full driver entry point: resolve argv[1] through @p registry, parse
- * the remaining arguments through the flag table, freeze the resolved
- * RuntimeOptions, and invoke the subcommand. `help`, `--help`, `-h`
+ * Full driver entry point: resolve argv[1] through @p registry, apply
+ * the environment, parse the remaining arguments on top, freeze the
+ * resolved RuntimeOptions, and invoke the subcommand. `help`, `--help`, `-h`
  * and the legacy `--list` spelling are handled here. Usage errors
  * print to stderr and return 2, as the hand-rolled parser did.
  */
